@@ -10,7 +10,6 @@
 //! is indistinguishable from the paper's schedule.  The substitution is
 //! documented in DESIGN.md §3 (item 4) and evaluated by experiment E4.
 
-use crate::instance::Instance;
 use crate::seq::SingleSourceEngine;
 use crate::store::DistanceStore;
 use rayon::prelude::*;
@@ -55,22 +54,6 @@ impl VertexApsp {
         Self::from_store(obstacles.vertices(), store)
     }
 
-    /// Implicit structure over the Hanan-grid Dijkstra row generator (the
-    /// baseline comparator's counterpart of [`VertexApsp::build_implicit`]).
-    pub fn build_implicit_hanan(obstacles: &ObstacleSet, budget_bytes: usize) -> Self {
-        let store = DistanceStore::implicit_hanan(obstacles, budget_bytes);
-        Self::from_store(obstacles.vertices(), store)
-    }
-
-    /// Wrap an externally computed `V_R`-to-`V_R` matrix (rows/columns in
-    /// `vertices` order).  Used by comparator engines (e.g. the Hanan-grid
-    /// baseline of the `Router`) to serve queries through the same oracle.
-    pub fn from_matrix(vertices: Vec<Point>, matrix: MinPlusMatrix) -> Self {
-        assert_eq!(matrix.rows(), vertices.len(), "matrix rows must match the vertex count");
-        assert_eq!(matrix.cols(), vertices.len(), "matrix cols must match the vertex count");
-        Self::from_store(vertices, DistanceStore::dense(matrix))
-    }
-
     /// Wrap any [`DistanceStore`] whose row/column space is `vertices`.
     pub fn from_store(vertices: Vec<Point>, store: DistanceStore) -> Self {
         assert_eq!(store.dim(), vertices.len(), "store dimension must match the vertex count");
@@ -84,11 +67,6 @@ impl VertexApsp {
     fn from_rows(vertices: Vec<Point>, rows: Vec<Vec<Dist>>) -> Self {
         let matrix = MinPlusMatrix::from_rows(rows);
         Self::from_store(vertices, DistanceStore::dense(matrix))
-    }
-
-    /// Convenience constructor from an [`Instance`].
-    pub fn build_for(instance: &Instance) -> Self {
-        Self::build(instance.obstacles())
     }
 
     /// The obstacle vertices, in matrix order.

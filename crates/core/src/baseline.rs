@@ -12,18 +12,12 @@
 //!   (full Hanan-grid Dijkstra per source) used to show the gap to the
 //!   paper's approach on small inputs.
 
-use crate::instance::Instance;
 use rayon::prelude::*;
 use rsp_geom::hanan::HananGrid;
-use rsp_geom::{Dist, ObstacleSet, Point};
+use rsp_geom::{Dist, ObstacleSet};
 use rsp_monge::MinPlusMatrix;
 
 pub use rsp_geom::hanan::{ground_truth_distance, ground_truth_matrix};
-
-/// Ground-truth distance between two arbitrary points of an instance.
-pub fn instance_ground_truth(instance: &Instance, a: Point, b: Point) -> Dist {
-    ground_truth_distance(instance.obstacles(), a, b)
-}
 
 /// All-pairs vertex matrix by repeating the (fast, sparse) single-source
 /// sweep of Section 9 once per vertex, sequentially.  `O(n^2 log n)` work.
@@ -58,13 +52,5 @@ mod tests {
         let fast = repeated_sssp_matrix(&obs);
         let slow = dijkstra_sssp_matrix(&obs);
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn instance_ground_truth_wrapper() {
-        let inst = Instance::with_margin(obstacles(), 5);
-        let d = instance_ground_truth(&inst, Point::new(-1, -1), Point::new(9, 7));
-        assert_eq!(d, ground_truth_distance(inst.obstacles(), Point::new(-1, -1), Point::new(9, 7)));
-        assert!(d >= Point::new(-1, -1).l1(Point::new(9, 7)));
     }
 }

@@ -15,6 +15,10 @@ use rsp_geom::{DisjointnessViolation, Point, RectId};
 /// or serving a query through it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RspError {
+    /// An obstacle has zero width or height (carries its id).  Such a
+    /// rectangle can only arrive through deserialisation, which bypasses
+    /// [`Rect::new`](rsp_geom::Rect::new)'s check.
+    DegenerateObstacle(RectId),
     /// Two obstacles have overlapping interiors; carries the offending pair
     /// (ids and rectangles) so the caller can locate and fix the input.
     OverlappingObstacles(DisjointnessViolation),
@@ -46,6 +50,7 @@ pub enum RspError {
 impl std::fmt::Display for RspError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RspError::DegenerateObstacle(i) => write!(f, "obstacle {i} has zero width or height"),
             RspError::OverlappingObstacles(v) => write!(f, "{v}"),
             RspError::ObstacleOutsideContainer(i) => {
                 write!(f, "obstacle {i} is not contained in the container")
@@ -83,6 +88,7 @@ impl From<rsp_geom::DeltaError> for RspError {
 impl From<InstanceError> for RspError {
     fn from(e: InstanceError) -> Self {
         match e {
+            InstanceError::DegenerateObstacle(i) => RspError::DegenerateObstacle(i),
             InstanceError::OverlappingObstacles(v) => RspError::OverlappingObstacles(v),
             InstanceError::ObstacleOutsideContainer(i) => RspError::ObstacleOutsideContainer(i),
             InstanceError::ContainerNotConvex => RspError::ContainerNotConvex,
@@ -109,6 +115,7 @@ mod tests {
     fn instance_errors_convert() {
         assert_eq!(RspError::from(InstanceError::ContainerNotConvex), RspError::ContainerNotConvex);
         assert_eq!(RspError::from(InstanceError::ObstacleOutsideContainer(3)), RspError::ObstacleOutsideContainer(3));
+        assert_eq!(RspError::from(InstanceError::DegenerateObstacle(2)), RspError::DegenerateObstacle(2));
     }
 
     #[test]

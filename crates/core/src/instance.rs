@@ -20,6 +20,8 @@ pub struct Instance {
 /// Problems detected by [`Instance::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InstanceError {
+    /// An obstacle has zero width or height (see [`Rect::is_degenerate`]).
+    DegenerateObstacle(usize),
     /// Two obstacles overlap (their interiors intersect); carries the
     /// offending pair of ids and rectangles.
     OverlappingObstacles(DisjointnessViolation),
@@ -32,6 +34,7 @@ pub enum InstanceError {
 impl std::fmt::Display for InstanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            InstanceError::DegenerateObstacle(i) => write!(f, "obstacle {i} has zero width or height"),
             InstanceError::OverlappingObstacles(v) => write!(f, "{v}"),
             InstanceError::ObstacleOutsideContainer(i) => {
                 write!(f, "obstacle {i} is not contained in the container")
@@ -92,6 +95,9 @@ impl Instance {
     /// Full validation of the paper's input assumptions (except general
     /// position, which the algorithms do not strictly require).
     pub fn validate(&self) -> Result<(), InstanceError> {
+        if let Some(i) = self.obstacles.iter().position(Rect::is_degenerate) {
+            return Err(InstanceError::DegenerateObstacle(i));
+        }
         self.obstacles.validate_disjoint()?;
         if !self.container.is_rectilinearly_convex() {
             return Err(InstanceError::ContainerNotConvex);
@@ -139,6 +145,14 @@ mod tests {
         let container = StairRegion::from_rect(Rect::new(-5, -5, 10, 10));
         let inst = Instance::new(obs, container);
         assert_eq!(inst.validate(), Err(InstanceError::ObstacleOutsideContainer(1)));
+    }
+
+    #[test]
+    fn validation_catches_degenerate_obstacle() {
+        // Struct literals (like serde) bypass `Rect::new`'s assert.
+        let flat = Rect { xmin: 5, ymin: 0, xmax: 5, ymax: 4 };
+        let inst = Instance::with_margin(ObstacleSet::new(vec![Rect::new(0, 0, 2, 2), flat]), 2);
+        assert_eq!(inst.validate(), Err(InstanceError::DegenerateObstacle(1)));
     }
 
     #[test]

@@ -25,9 +25,12 @@
 //! * [`bigp`] — Section 7: the implicit structure for `|P| = N >> n`.
 //! * [`store`] — pluggable distance storage: the dense `O(n^2)` matrix or
 //!   the byte-budgeted implicit row store ([`StoreKind`], [`DistanceStore`]).
-//! * [`baseline`] — comparators: Hanan-grid ground truth, sparse track-graph
-//!   Dijkstra (the de Rezende–Lee–Wu-style single-source algorithm [11]) and
-//!   the repeated-SSSP all-pairs baseline.
+//! * [`block_cache`] — the byte-budgeted LRU row cache behind the implicit
+//!   store.
+//! * [`baseline`] — comparators for the E8 experiment and the tests:
+//!   Hanan-grid Dijkstra, sparse track-graph Dijkstra (the
+//!   de Rezende–Lee–Wu-style single-source algorithm [11]) and the
+//!   repeated-SSSP all-pairs baseline.  No serving path calls them.
 //! * [`tree`] — the recursion tree of Section 6.1 (inspection / rendering).
 //! * [`router`] — the session-style entry point tying everything together:
 //!   lazy shared substructures, typed errors, batch query serving.  This is
@@ -38,6 +41,7 @@
 pub mod apsp;
 pub mod baseline;
 pub mod bigp;
+pub mod block_cache;
 mod delta;
 pub mod dnc;
 pub mod error;
@@ -57,7 +61,7 @@ pub use dnc::{build_boundary_matrix, BoundaryMatrix, DncOptions};
 pub use error::RspError;
 pub use instance::Instance;
 pub use query::{OracleReuse, PathLengthOracle};
-pub use router::{BuildCounts, Engine, Router, RouterBuilder};
+pub use router::{BuildCounts, Router, RouterBuilder};
 pub use separator::{find_separator, Separator};
 pub use sptree::ShortestPathTrees;
 pub use store::{DistanceStore, RowCarry, StoreKind, StoreStats};

@@ -20,7 +20,6 @@
 //!   one-arbitrary-endpoint case (recursion depth at most two).
 
 use crate::apsp::VertexApsp;
-use crate::instance::Instance;
 use crate::trace::{escape_path, EscapeKind};
 use rsp_geom::rayshoot::ShootIndex;
 use rsp_geom::{Chain, Coord, Dir, Dist, ObstacleIndex, ObstacleSet, Point, Rect, StairRegion, INF};
@@ -342,12 +341,6 @@ impl PathLengthOracle {
         }
         let oracle = PathLengthOracle { obstacles, apsp, vertex_id, index, chains };
         (oracle, OracleReuse { chains_reused, chains_rebuilt, slab_columns })
-    }
-
-    /// Convenience constructor from an [`Instance`] (shares the instance's
-    /// obstacle `Arc` — no copy).
-    pub fn build_for(instance: &Instance) -> Self {
-        Self::build_arc(instance.obstacles_arc())
     }
 
     /// The underlying vertex matrix.

@@ -19,16 +19,26 @@
 //!   the same oracle;
 //! * the boundary-to-boundary matrix `D_Q` of Section 5.
 //!
+//! Each store has one construction path, and it is the same at every thread
+//! count: the dense store fans the Section 9 single-source sweep out over
+//! all `4n` sources, the implicit store runs it lazily per missed row, and a
+//! delta build carries what an edit cannot affect and re-sweeps the rest.
+//! `threads(p)` only sizes the pool those sweeps (and the `D_Q`
+//! divide-and-conquer) run on, so answers are bitwise-identical for every
+//! `p` (`tests/determinism.rs`).
+//!
 //! Every fallible entry point returns [`RspError`]; batch queries
 //! ([`Router::distances`], [`Router::paths`]) route vertex pairs to the
 //! `O(1)` matrix lookup and fan the rest out over rayon.
 //!
 //! ```
-//! use rsp_core::router::{Engine, Router};
+//! use rsp_core::router::Router;
+//! use rsp_core::store::StoreKind;
 //! use rsp_geom::{ObstacleSet, Point, Rect};
 //!
 //! let router = Router::builder(ObstacleSet::new(vec![Rect::new(2, 2, 6, 10)]))
-//!     .engine(Engine::Auto)
+//!     .store(StoreKind::Dense)
+//!     .threads(2)
 //!     .build()?;
 //! let d = router.distance(Point::new(0, 0), Point::new(8, 12))?;
 //! assert!(d >= 18);
@@ -36,7 +46,6 @@
 //! ```
 
 use crate::apsp::VertexApsp;
-use crate::baseline::dijkstra_sssp_matrix;
 use crate::delta::DeltaBase;
 use crate::dnc::{build_boundary_matrix, BoundaryMatrix, DncOptions};
 use crate::error::RspError;
@@ -49,27 +58,9 @@ use crate::trace::{escape_path, EscapeKind};
 use crate::tree::RecursionTree;
 use rayon::prelude::*;
 use rsp_geom::rayshoot::ShootIndex;
-use rsp_geom::{Chain, Coord, Dist, ObstacleSet, Point, RectiPath, SceneDelta};
+use rsp_geom::{Chain, Coord, Dist, ObstacleSet, Point, Rect, RectiPath, SceneDelta};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// Which construction engine a [`Router`] uses for its substructures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Pick automatically: [`Engine::DivideAndConquer`] unless the session is
-    /// pinned to a single thread, then [`Engine::Sequential`].
-    Auto,
-    /// The Section 9 sequential construction: single-threaded APSP sweep and
-    /// sequential divide-and-conquer schedule.
-    Sequential,
-    /// The paper's parallel schedule: the `4n`-source fan-out for the vertex
-    /// APSP and the `rayon::join` divide-and-conquer for `D_Q`.
-    DivideAndConquer,
-    /// Ground-truth comparator: a Hanan-grid Dijkstra per source.  Slow
-    /// (`O(n^3 log n)` work) but independent of the paper's machinery; used
-    /// to cross-check the other engines.
-    HananBaseline,
-}
 
 /// How many times each lazily built substructure has actually been
 /// constructed, exposed so tests (and profilers) can assert the
@@ -118,20 +109,12 @@ struct BuildCounters {
 /// Configures and validates a [`Router`].  Created by [`Router::builder`].
 pub struct RouterBuilder {
     obstacles: ObstacleSet,
-    engine: Engine,
     store: StoreKind,
     threads: Option<usize>,
     margin: Coord,
-    dnc: Option<DncOptions>,
 }
 
 impl RouterBuilder {
-    /// Select the construction engine (default [`Engine::Auto`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Select the distance storage backend (default [`StoreKind::Auto`]:
     /// dense below [`crate::store::IMPLICIT_AUTO_THRESHOLD`] obstacles,
     /// implicit with [`crate::store::default_budget_bytes`] above).  Both
@@ -157,50 +140,33 @@ impl RouterBuilder {
         self
     }
 
-    /// Override the divide-and-conquer tuning knobs (default: derived from
-    /// the engine — sequential schedule for [`Engine::Sequential`], parallel
-    /// otherwise).
-    pub fn dnc_options(mut self, opts: DncOptions) -> Self {
-        self.dnc = Some(opts);
-        self
-    }
-
     /// Validate the input and assemble the router.  Fails with
-    /// [`RspError::OverlappingObstacles`] (naming the offending pair) when
-    /// two obstacles overlap; no substructure is built yet — each is
-    /// constructed lazily on first use.
+    /// [`RspError::DegenerateObstacle`] for a zero-width or zero-height
+    /// obstacle and [`RspError::OverlappingObstacles`] (naming the offending
+    /// pair) when two obstacles overlap; no substructure is built yet — each
+    /// is constructed lazily on first use.
     pub fn build(self) -> Result<Router, RspError> {
+        // `Instance::validate` checks this too, but an inverted rectangle
+        // must not reach `with_margin`, whose bbox expansion asserts.
+        if let Some(i) = self.obstacles.iter().position(Rect::is_degenerate) {
+            return Err(RspError::DegenerateObstacle(i));
+        }
         let store = self.store.resolve(self.obstacles.len());
         let instance = Instance::with_margin(self.obstacles, self.margin);
         instance.validate()?;
         let pool = match self.threads {
-            Some(p) => Some(
+            Some(p) => Some(Arc::new(
                 rayon::ThreadPoolBuilder::new()
                     .num_threads(p)
                     .build()
                     .map_err(|e| RspError::ThreadPool(e.to_string()))?,
-            ),
+            )),
             None => None,
         };
-        let engine = match self.engine {
-            Engine::Auto => {
-                if self.threads == Some(1) {
-                    Engine::Sequential
-                } else {
-                    Engine::DivideAndConquer
-                }
-            }
-            other => other,
-        };
-        let dnc =
-            self.dnc.unwrap_or(DncOptions { parallel: !matches!(engine, Engine::Sequential), ..DncOptions::default() });
         Ok(Router {
             instance,
-            engine,
             store,
             pool,
-            dnc,
-            threads: self.threads,
             margin: self.margin,
             epoch: 0,
             delta: Mutex::new(None),
@@ -217,13 +183,12 @@ impl RouterBuilder {
 /// point of the workspace (see the module docs).
 pub struct Router {
     instance: Instance,
-    engine: Engine,
     store: StoreKind,
-    pool: Option<rayon::ThreadPool>,
-    dnc: DncOptions,
-    /// Builder configuration retained so [`Router::apply_delta`] can clone
-    /// the session setup into the next epoch.
-    threads: Option<usize>,
+    /// The `threads(p)` pool, shared by every epoch derived through
+    /// [`Router::apply_delta`].
+    pool: Option<Arc<rayon::ThreadPool>>,
+    /// Builder margin, retained so [`Router::apply_delta`] can rebuild the
+    /// container around the edited scene.
     margin: Coord,
     /// 0 for a from-scratch build; parent epoch + 1 for a delta build.
     epoch: u64,
@@ -242,7 +207,7 @@ pub struct Router {
 impl Router {
     /// Start configuring a router for the given obstacles.
     pub fn builder(obstacles: ObstacleSet) -> RouterBuilder {
-        RouterBuilder { obstacles, engine: Engine::Auto, store: StoreKind::Auto, threads: None, margin: 2, dnc: None }
+        RouterBuilder { obstacles, store: StoreKind::Auto, threads: None, margin: 2 }
     }
 
     /// Shorthand: a router over `obstacles` with all defaults.
@@ -265,12 +230,6 @@ impl Router {
         self.instance.n()
     }
 
-    /// The engine this router resolved to ([`Engine::Auto`] is resolved at
-    /// build time and never stored).
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// The session epoch: 0 for a from-scratch build, incremented by each
     /// [`Router::apply_delta`].
     pub fn epoch(&self) -> u64 {
@@ -281,32 +240,26 @@ impl Router {
     /// the edited obstacle set.  `self` is untouched: in-flight queries keep
     /// their snapshot, and both sessions stay fully usable side by side.
     ///
-    /// The new session inherits the resolved engine, store kind, margin and
-    /// thread pinning, and *reuses from this session's already-built oracle*
+    /// The new session inherits the resolved store kind, the margin and the
+    /// thread pool itself, and *reuses from this session's already-built oracle*
     /// every substructure the delta provably cannot affect: unchanged
     /// distance rows (dense and implicit), untouched escape staircases and
     /// clean ray-shooting slab columns carry over verbatim; everything else
     /// re-derives lazily.  Queries on the new session answer
     /// bitwise-identically to a from-scratch build of the edited scene
-    /// (certified across engines, stores and thread counts in
-    /// `tests/edit.rs`); [`Router::build_counts`] exposes the
+    /// (certified across stores and thread counts in `tests/edit.rs`); [`Router::build_counts`] exposes the
     /// `*_reused`/`*_rebuilt` split once the new oracle is built.
     ///
     /// Validation is *incremental*: removals are range/duplicate-checked and
-    /// each inserted rectangle is checked against the whole edited scene
-    /// (`O(k · n)` instead of the builder's `O(n^2)` full scan).
+    /// each inserted rectangle is checked for degeneracy and against the
+    /// whole edited scene (`O(k · n)` instead of the builder's `O(n^2)` full
+    /// scan).
     pub fn apply_delta(&self, delta: &SceneDelta) -> Result<Router, RspError> {
         let applied = self.instance.obstacles().apply_delta(delta)?;
+        if let Some(k) = delta.insert.iter().position(Rect::is_degenerate) {
+            return Err(RspError::DegenerateObstacle(applied.first_inserted + k));
+        }
         applied.validate_disjoint_incremental()?;
-        let pool = match self.threads {
-            Some(p) => Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(p)
-                    .build()
-                    .map_err(|e| RspError::ThreadPool(e.to_string()))?,
-            ),
-            None => None,
-        };
         // Only an already-built oracle is worth carrying; otherwise the new
         // session builds from scratch lazily like any other.
         let base = self.oracle.get().map(|oracle| {
@@ -319,11 +272,8 @@ impl Router {
         });
         Ok(Router {
             instance: Instance::with_margin(applied.obstacles, self.margin),
-            engine: self.engine,
             store: self.store,
-            pool,
-            dnc: self.dnc.clone(),
-            threads: self.threads,
+            pool: self.pool.clone(),
             margin: self.margin,
             epoch: self.epoch + 1,
             delta: Mutex::new(base),
@@ -402,23 +352,13 @@ impl Router {
         })
     }
 
-    /// The from-scratch all-pairs build for this router's engine × store
-    /// combination.
+    /// The from-scratch all-pairs build for this router's store: lazy
+    /// sweeps for the implicit store, the `4n`-source fan-out for the dense
+    /// one (`Auto` was resolved to a concrete kind at build time).
     fn build_apsp_fresh(&self, obstacles: &ObstacleSet) -> VertexApsp {
-        match (self.store, self.engine) {
-            // Implicit store: rows come lazily from the engine's own
-            // row generator — no full matrix is ever materialised.
-            (StoreKind::Implicit { budget_bytes }, Engine::HananBaseline) => {
-                VertexApsp::build_implicit_hanan(obstacles, budget_bytes)
-            }
-            (StoreKind::Implicit { budget_bytes }, _) => VertexApsp::build_implicit(obstacles, budget_bytes),
-            // Dense store: the eager builders (Auto was resolved to a
-            // concrete store kind at build time).
-            (_, Engine::Sequential) => VertexApsp::build_sequential(obstacles),
-            (_, Engine::HananBaseline) => {
-                VertexApsp::from_matrix(obstacles.vertices(), dijkstra_sssp_matrix(obstacles))
-            }
-            (_, Engine::Auto | Engine::DivideAndConquer) => VertexApsp::build(obstacles),
+        match self.store {
+            StoreKind::Implicit { budget_bytes } => VertexApsp::build_implicit(obstacles, budget_bytes),
+            StoreKind::Dense | StoreKind::Auto => VertexApsp::build(obstacles),
         }
     }
 
@@ -429,7 +369,6 @@ impl Router {
     /// *canonical*: rows hold true shortest-path lengths and chains/slabs are
     /// pure functions of the surviving geometry.
     fn build_oracle_delta(&self, obstacles: &ObstacleSet, base: DeltaBase) -> PathLengthOracle {
-        let hanan = matches!(self.engine, Engine::HananBaseline);
         let old_store = base.oracle.apsp().store();
         let (apsp, carry) = match self.store {
             StoreKind::Implicit { budget_bytes } => match old_store.as_implicit() {
@@ -437,7 +376,6 @@ impl Router {
                     let (store, carry) = DistanceStore::implicit_delta(
                         obstacles,
                         budget_bytes,
-                        hanan,
                         old,
                         &base.old_to_new_vertex,
                         &base.new_to_old_vertex,
@@ -452,7 +390,7 @@ impl Router {
             StoreKind::Dense | StoreKind::Auto => match old_store.as_dense() {
                 Some(old) => {
                     let (store, carry) =
-                        DistanceStore::dense_delta(obstacles, hanan, old, &base.new_to_old_vertex, &base.edited);
+                        DistanceStore::dense_delta(obstacles, old, &base.new_to_old_vertex, &base.edited);
                     (VertexApsp::from_store(obstacles.vertices(), store), carry)
                 }
                 None => (self.build_apsp_fresh(obstacles), RowCarry::default()),
@@ -706,12 +644,15 @@ impl Router {
 
     /// The boundary-to-boundary path-length matrix `D_Q` over the instance
     /// container, built on first use by the Section 5 divide-and-conquer
-    /// (staircase separators + Monge (min,+) conquer) and cached.
+    /// (staircase separators + Monge (min,+) conquer) and cached.  The
+    /// `rayon::join` schedule runs sequentially on a 1-thread pool and gives
+    /// the same matrix at every width.
     pub fn boundary_matrix(&self) -> Arc<BoundaryMatrix> {
         Arc::clone(self.boundary.get_or_init(|| {
             self.counts.boundary.fetch_add(1, Ordering::Relaxed);
+            let opts = DncOptions::default();
             let bm =
-                self.in_pool(|| build_boundary_matrix(self.instance.obstacles(), self.instance.container(), &self.dnc));
+                self.in_pool(|| build_boundary_matrix(self.instance.obstacles(), self.instance.container(), &opts));
             Arc::new(bm)
         }))
     }
@@ -754,7 +695,7 @@ impl Router {
 mod tests {
     use super::*;
     use rsp_geom::hanan::ground_truth_distance;
-    use rsp_geom::{Rect, INF};
+    use rsp_geom::INF;
     use rsp_workload::{query_pairs, uniform_disjoint};
 
     fn sample() -> ObstacleSet {
@@ -770,6 +711,16 @@ mod tests {
             }
             other => panic!("expected overlap error, got {:?}", other.err()),
         }
+    }
+
+    #[test]
+    fn builder_rejects_degenerate_obstacles_without_panicking() {
+        // Struct literals stand in for serde, which bypasses `Rect::new`.
+        for flat in [Rect { xmin: 0, ymin: 0, xmax: 0, ymax: 4 }, Rect { xmin: 10, ymin: 0, xmax: 0, ymax: 4 }] {
+            assert_eq!(Router::new(ObstacleSet::new(vec![flat])).err(), Some(RspError::DegenerateObstacle(0)));
+        }
+        let mixed = ObstacleSet::new(vec![Rect::new(0, 0, 2, 2), Rect { xmin: 5, ymin: 9, xmax: 8, ymax: 9 }]);
+        assert_eq!(Router::new(mixed).err(), Some(RspError::DegenerateObstacle(1)));
     }
 
     #[test]
@@ -849,20 +800,32 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_and_resolve() {
+    fn thread_counts_agree_with_ground_truth() {
         let w = uniform_disjoint(6, 14);
-        let auto = Router::new(w.obstacles.clone()).unwrap();
-        assert_eq!(auto.engine(), Engine::DivideAndConquer);
-        let single = Router::builder(w.obstacles.clone()).threads(1).build().unwrap();
-        assert_eq!(single.engine(), Engine::Sequential);
-        let hanan = Router::builder(w.obstacles.clone()).engine(Engine::HananBaseline).build().unwrap();
+        let routers: Vec<Router> = [None, Some(1), Some(2)]
+            .into_iter()
+            .map(|p| {
+                let builder = Router::builder(w.obstacles.clone());
+                match p {
+                    Some(p) => builder.threads(p),
+                    None => builder,
+                }
+                .build()
+                .unwrap()
+            })
+            .collect();
         let verts = w.obstacles.vertices();
         for &a in verts.iter().step_by(3) {
             for &b in verts.iter().step_by(4) {
-                let d = auto.vertex_distance(a, b).unwrap();
-                assert_eq!(d, single.vertex_distance(a, b).unwrap());
-                assert_eq!(d, hanan.vertex_distance(a, b).unwrap());
+                let expect = ground_truth_distance(&w.obstacles, a, b);
+                for router in &routers {
+                    assert_eq!(router.vertex_distance(a, b).unwrap(), expect, "{a:?} -> {b:?}");
+                }
             }
+        }
+        let bm = routers[0].boundary_matrix();
+        for router in &routers[1..] {
+            assert_eq!(router.boundary_matrix().dist, bm.dist, "D_Q depends on the pool width");
         }
     }
 
@@ -1061,6 +1024,13 @@ mod tests {
         // Out-of-range removal.
         let bad = SceneDelta { insert: vec![], remove: vec![99] };
         assert!(matches!(parent.apply_delta(&bad), Err(RspError::InvalidDelta(_))));
+        // A zero-width insert, as serde would deliver it, is named by its
+        // new id.
+        let flat = SceneDelta {
+            insert: vec![Rect::new(30, 30, 34, 34), Rect { xmin: 40, ymin: 0, xmax: 40, ymax: 4 }],
+            remove: vec![],
+        };
+        assert_eq!(parent.apply_delta(&flat).err(), Some(RspError::DegenerateObstacle(4)));
         // Inserted rectangle overlapping a survivor.
         let overlap = SceneDelta { insert: vec![Rect::new(3, 3, 5, 5)], remove: vec![] };
         assert!(matches!(parent.apply_delta(&overlap), Err(RspError::OverlappingObstacles(_))));
@@ -1070,21 +1040,37 @@ mod tests {
     }
 
     #[test]
-    fn delta_sessions_report_engine_specific_reuse() {
-        // Each engine carries artifacts across an edit and stays bitwise
-        // faithful; HananBaseline rows live on the grid's canonical metric so
-        // they carry too.
+    fn delta_sessions_carry_rows_at_every_thread_count() {
         let base = uniform_disjoint(12, 5).obstacles;
         let delta = SceneDelta { insert: vec![Rect::new(400, 400, 404, 404)], remove: vec![] };
         let edited_set = base.apply_delta(&delta).unwrap().obstacles;
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
-            let parent = Router::builder(base.clone()).engine(engine).build().unwrap();
-            let verts = base.vertices();
+        let verts = edited_set.vertices();
+        for threads in [1, 2] {
+            let parent = Router::builder(base.clone()).threads(threads).build().unwrap();
             let _ = parent.vertex_distance(verts[0], verts[7]).unwrap();
             let child = parent.apply_delta(&delta).unwrap();
-            let fresh = Router::builder(edited_set.clone()).engine(engine).build().unwrap();
+            let fresh = Router::builder(edited_set.clone()).threads(threads).build().unwrap();
             assert_session_equivalent(&child, &fresh);
-            assert!(child.build_counts().rows_reused > 0, "{engine:?} carried no rows");
+            assert!(child.build_counts().rows_reused > 0, "{threads} threads: carried no rows");
+            for &b in verts.iter().step_by(5) {
+                assert_eq!(
+                    child.vertex_distance(verts[0], b).unwrap(),
+                    ground_truth_distance(&edited_set, verts[0], b)
+                );
+            }
         }
+    }
+
+    #[test]
+    fn apply_delta_shares_the_parent_thread_pool() {
+        let parent = Router::builder(sample()).threads(2).build().unwrap();
+        let child = parent.apply_delta(&SceneDelta::removing(vec![1])).unwrap();
+        let grandchild = child.apply_delta(&SceneDelta::inserting(vec![Rect::new(20, 20, 24, 24)])).unwrap();
+        let pool = parent.pool.as_ref().expect("threads(2) builds a pool");
+        assert!(Arc::ptr_eq(pool, child.pool.as_ref().expect("child inherits the pool")));
+        assert!(Arc::ptr_eq(pool, grandchild.pool.as_ref().expect("grandchild inherits the pool")));
+        // An unpinned router stays on the global pool across edits.
+        let global = Router::new(sample()).unwrap();
+        assert!(global.apply_delta(&SceneDelta::removing(vec![0])).unwrap().pool.is_none());
     }
 }

@@ -1,6 +1,7 @@
 //! Section 9: single-source shortest path lengths to all obstacle vertices by
-//! topological relaxation of monotone DAGs, and the `O(n^2)`-style sequential
-//! all-pairs construction built from it.
+//! topological relaxation of monotone DAGs — the per-source routine behind
+//! every distance row (the `O(n^2)`-style sequential all-pairs construction
+//! is [`VertexApsp::build_sequential`](crate::apsp::VertexApsp::build_sequential)).
 //!
 //! For a source `v`, the plane is covered by four regions delimited by escape
 //! paths from `v` (Fig. 5 / Section 9, following de Rezende–Lee–Wu [11]):
@@ -24,7 +25,7 @@
 //! distances for every obstacle vertex.
 
 use rsp_geom::rayshoot::ShootIndex;
-use rsp_geom::{Chain, Dist, ObstacleSet, Point, Rect, StairRegion, INF};
+use rsp_geom::{Dist, ObstacleSet, Point, Rect, StairRegion, INF};
 use std::collections::HashMap;
 
 use crate::trace::{escape_path, EscapeKind};
@@ -210,30 +211,6 @@ fn monotone_case_distances(
     dist
 }
 
-/// All-pairs vertex-to-vertex length matrix computed sequentially, one source
-/// at a time (the Section 9 construction).  Returns the matrix indexed like
-/// [`ObstacleSet::vertices`].
-pub fn sequential_vertex_apsp(obstacles: &ObstacleSet) -> Vec<Vec<Dist>> {
-    let engine = SingleSourceEngine::new(obstacles);
-    engine.vertices().to_vec().iter().map(|&v| engine.distances_from(v)).collect()
-}
-
-/// Reconstruct one shortest path from the single-source engine by greedy
-/// backtracking on distances (used by tests; Section 8's shortest-path trees
-/// are the production path-reporting mechanism).
-pub fn escape_chains_for_source(
-    obstacles: &ObstacleSet,
-    index: &ShootIndex,
-    region: &StairRegion,
-    source: Point,
-) -> (Chain, Chain, Chain, Chain) {
-    let ne = escape_path(obstacles, index, region, source, EscapeKind::NE);
-    let nw = escape_path(obstacles, index, region, source, EscapeKind::NW);
-    let se = escape_path(obstacles, index, region, source, EscapeKind::SE);
-    let sw = escape_path(obstacles, index, region, source, EscapeKind::SW);
-    (ne, nw, se, sw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,12 +270,12 @@ mod tests {
     fn sequential_apsp_is_symmetric_and_matches_truth() {
         let obs = random_disjoint(8, 42);
         let verts = obs.vertices();
-        let apsp = sequential_vertex_apsp(&obs);
+        let apsp = crate::apsp::VertexApsp::build_sequential(&obs);
         let truth = ground_truth_matrix(&obs, &verts);
-        for i in 0..verts.len() {
-            for j in 0..verts.len() {
-                assert_eq!(apsp[i][j], truth[i][j]);
-                assert_eq!(apsp[i][j], apsp[j][i]);
+        for (i, row) in truth.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
+                assert_eq!(apsp.distance(i, j), d);
+                assert_eq!(apsp.distance(i, j), apsp.distance(j, i));
             }
         }
     }

@@ -7,29 +7,25 @@
 //! exactly the scenes where the `O(n^2)`-work construction would shine.
 //!
 //! The implicit backend never materialises the matrix.  It keeps the row
-//! *generator* instead — the Section 9 single-source engine (or the
-//! Hanan-grid Dijkstra for the baseline comparator) — and materialises
-//! distance rows on demand into a byte-budgeted LRU
-//! [`BlockCache`](rsp_monge::BlockCache).  A row is the natural block
-//! granularity here: every generator is a whole-source sweep, so a single
-//! entry costs exactly as much as its row, and caching the row makes the
-//! follow-up queries of a scan free.
+//! *generator* instead — the Section 9 single-source engine — and
+//! materialises distance rows on demand into a byte-budgeted LRU
+//! [`BlockCache`].  A row is the natural block granularity here: the
+//! generator is a whole-source sweep, so a single entry costs exactly as
+//! much as its row, and caching the row makes the follow-up queries of a
+//! scan free.
 //!
 //! **Bitwise equality is by construction**: both backends obtain row `i` by
 //! calling the *same* per-source routine on the *same* source vertex, so an
 //! implicit store returns bit-for-bit the numbers the dense matrix holds —
 //! independent of materialisation order, eviction history or thread count.
-//! (The lazy SMAWK product machinery of
-//! [`ImplicitMongeMatrix`](rsp_monge::ImplicitMongeMatrix) plays the
-//! analogous role one level down, for boundary-matrix blocks; Lemma 1's
-//! Monge guarantee holds for boundary portions of convex clear regions, not
-//! for the scattered vertex set `V_R`, which is why the vertex store caches
-//! generator rows rather than SMAWK minima.)
+//! (The rows are generator output, not Monge products: Lemma 1's Monge
+//! guarantee holds for boundary portions of convex clear regions, not for
+//! the scattered vertex set `V_R`, so there is no SMAWK shortcut to take.)
 
+use crate::block_cache::BlockCache;
 use crate::seq::SingleSourceEngine;
-use rsp_geom::hanan::HananGrid;
-use rsp_geom::{Dist, ObstacleSet, Point};
-use rsp_monge::{BlockCache, MinPlusMatrix};
+use rsp_geom::{Dist, ObstacleSet};
+use rsp_monge::MinPlusMatrix;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -114,66 +110,39 @@ pub struct StoreStats {
     pub pinned_bytes: usize,
 }
 
-/// How the implicit store generates a distance row for source `i`.
-enum RowProvider {
-    /// The Section 9 single-source engine — the same routine the dense
-    /// builders fan out over, so rows are bitwise-identical to theirs.
-    Sweep(SingleSourceEngine),
-    /// Hanan-grid Dijkstra per source — the same routine
-    /// [`dijkstra_sssp_matrix`](crate::baseline::dijkstra_sssp_matrix) fans
-    /// out over, for the baseline-comparator engine.
-    Hanan { grid: HananGrid, vertices: Vec<Point> },
-}
-
-impl RowProvider {
-    fn row(&self, i: usize) -> Vec<Dist> {
-        match self {
-            RowProvider::Sweep(engine) => engine.distances_from(engine.vertices()[i]),
-            RowProvider::Hanan { grid, vertices } => grid.distances_to(vertices[i], vertices),
-        }
-    }
-}
-
-/// A [`RowProvider`] whose skeleton (the four case-transformed ray-shooting
-/// views, or the Hanan grid) is built on the first *sweep*, not at store
-/// construction.
+/// The Section 9 single-source engine behind an implicit store, built on the
+/// first *sweep*, not at store construction.
 ///
-/// The skeleton only matters on a row miss, and its build is the dominant
-/// fixed cost of an implicit store at large `n`.  Deferring it keeps a fresh
-/// store's construction O(1), and — the case it exists for — lets a
-/// delta-carried store ([`DistanceStore::implicit_delta`]) whose first batch
-/// is answered entirely from carried rows skip the skeleton build outright,
-/// which is what makes edit→first-query genuinely sublinear.  Values are
-/// unaffected: whenever a sweep does run, it runs the same routine on the
-/// same scene.
+/// The engine's skeleton (the four case-transformed ray-shooting views) only
+/// matters on a row miss, and its build is the dominant fixed cost of an
+/// implicit store at large `n`.  Deferring it keeps a fresh store's
+/// construction O(1), and — the case it exists for — lets a delta-carried
+/// store ([`DistanceStore::implicit_delta`]) whose first batch is answered
+/// entirely from carried rows skip the skeleton build outright, which is
+/// what makes edit→first-query genuinely sublinear.  Values are unaffected:
+/// whenever a sweep does run, it runs the same routine on the same scene.
 struct LazyProvider {
     obstacles: Arc<ObstacleSet>,
-    hanan: bool,
-    cell: OnceLock<RowProvider>,
+    cell: OnceLock<SingleSourceEngine>,
 }
 
 impl LazyProvider {
-    fn deferred(obstacles: Arc<ObstacleSet>, hanan: bool) -> Self {
-        LazyProvider { obstacles, hanan, cell: OnceLock::new() }
+    fn deferred(obstacles: Arc<ObstacleSet>) -> Self {
+        LazyProvider { obstacles, cell: OnceLock::new() }
     }
 
-    /// The built provider.  Callers that fan sweeps out over rayon force
-    /// this *before* going parallel, so the one-time build never runs under
-    /// a worker that peers would have to block on.
-    fn force(&self) -> &RowProvider {
-        self.cell.get_or_init(|| {
-            if self.hanan {
-                let vertices = self.obstacles.vertices();
-                let grid = HananGrid::build(&self.obstacles, &vertices);
-                RowProvider::Hanan { grid, vertices }
-            } else {
-                RowProvider::Sweep(SingleSourceEngine::new(&self.obstacles))
-            }
-        })
+    /// Build the engine now.  Callers that fan sweeps out over rayon force
+    /// it *before* going parallel, so the one-time build never runs under a
+    /// worker that peers would have to block on.
+    fn force(&self) -> &SingleSourceEngine {
+        self.cell.get_or_init(|| SingleSourceEngine::new(&self.obstacles))
     }
 
+    /// Distance row of source vertex `i` — the same routine the dense
+    /// builders fan out over, so rows are bitwise-identical to theirs.
     fn row(&self, i: usize) -> Vec<Dist> {
-        self.force().row(i)
+        let engine = self.force();
+        engine.distances_from(engine.vertices()[i])
     }
 }
 
@@ -273,8 +242,8 @@ impl ImplicitStore {
         let built: Vec<(usize, Vec<Dist>)> = if missing.is_empty() {
             Vec::new()
         } else {
-            let provider = self.provider.force();
-            missing.par_iter().map(|&i| (i, provider.row(i))).collect()
+            self.provider.force();
+            missing.par_iter().map(|&i| (i, self.provider.row(i))).collect()
         };
         let mut cache = self.cache.lock().expect("distance row cache poisoned");
         let budget = cache.stats().budget_bytes;
@@ -382,19 +351,10 @@ impl DistanceStore {
         DistanceStore::Dense(matrix)
     }
 
-    /// An implicit store over the Section 9 single-source engine — the
-    /// backend behind every non-baseline engine.
+    /// An implicit store over the Section 9 single-source engine.
     pub fn implicit_sweep(obstacles: &ObstacleSet, budget_bytes: usize) -> Self {
         let dim = obstacles.vertices().len();
-        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()), false);
-        DistanceStore::Implicit(Box::new(ImplicitStore::new(provider, dim, budget_bytes)))
-    }
-
-    /// An implicit store over the Hanan-grid Dijkstra — the backend behind
-    /// the baseline-comparator engine.
-    pub fn implicit_hanan(obstacles: &ObstacleSet, budget_bytes: usize) -> Self {
-        let dim = obstacles.vertices().len();
-        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()), true);
+        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()));
         DistanceStore::Implicit(Box::new(ImplicitStore::new(provider, dim, budget_bytes)))
     }
 
@@ -418,12 +378,10 @@ impl DistanceStore {
     ///
     /// `old_to_new` / `new_to_old` map **vertex** indices across the id
     /// compaction (`None` = removed / inserted); `edited` holds the
-    /// geometries of all inserted and removed rectangles.  A provider-kind
-    /// mismatch (sweep vs Hanan) carries nothing.
+    /// geometries of all inserted and removed rectangles.
     pub fn implicit_delta(
         obstacles: &ObstacleSet,
         budget_bytes: usize,
-        hanan: bool,
         old: &ImplicitStore,
         old_to_new: &[Option<usize>],
         new_to_old: &[Option<usize>],
@@ -435,23 +393,20 @@ impl DistanceStore {
         // Deferred on purpose: for an edit whose keep-test carries the whole
         // resident set (and that inserts nothing), the skeleton build never
         // runs at all — the child store is ready in O(carried rows).
-        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()), hanan);
+        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()));
         let store = ImplicitStore::new(provider, dim, budget_bytes);
-        let kinds_match = hanan == old.provider.hanan;
         // Candidate rows: resident in the old cache with a surviving source.
-        let mut candidates: Vec<(usize, Arc<[Dist]>)> = if kinds_match {
-            let old_cache = old.cache.lock().expect("distance row cache poisoned");
-            old_cache
-                .snapshot()
-                .into_iter()
-                .filter_map(|(k, row)| {
-                    let new_i = (*old_to_new.get(k as usize)?)?;
-                    Some((new_i, row))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut candidates: Vec<(usize, Arc<[Dist]>)> = old
+            .cache
+            .lock()
+            .expect("distance row cache poisoned")
+            .snapshot()
+            .into_iter()
+            .filter_map(|(k, row)| {
+                let new_i = (*old_to_new.get(k as usize)?)?;
+                Some((new_i, row))
+            })
+            .collect();
         if candidates.is_empty() || dim == 0 {
             return (DistanceStore::Implicit(Box::new(store)), RowCarry::default());
         }
@@ -462,8 +417,8 @@ impl DistanceStore {
         let corner_rows: Vec<(usize, Vec<Dist>)> = if inserted.is_empty() {
             Vec::new()
         } else {
-            let provider = store.provider.force();
-            inserted.par_iter().map(|&j| (j, provider.row(j))).collect()
+            store.provider.force();
+            inserted.par_iter().map(|&j| (j, store.provider.row(j))).collect()
         };
         let corner_of: HashMap<usize, &[Dist]> = corner_rows.iter().map(|&(j, ref r)| (j, &r[..])).collect();
         let remapped: Vec<(usize, Vec<Dist>)> = candidates
@@ -517,7 +472,6 @@ impl DistanceStore {
     /// an eager fresh build.
     pub fn dense_delta(
         obstacles: &ObstacleSet,
-        hanan: bool,
         old: &MinPlusMatrix,
         new_to_old: &[Option<usize>],
         edited: &[rsp_geom::Rect],
@@ -527,7 +481,7 @@ impl DistanceStore {
         let dim = vertices.len();
         // Deferred like the implicit arm's: a full-carry edit needs no sweeps
         // and therefore never builds the skeleton.
-        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()), hanan);
+        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()));
         let gaps: Vec<Vec<Dist>> =
             edited.iter().map(|r| vertices.iter().map(|&v| r.l1_distance_to(v)).collect()).collect();
         // Decide per row: carry (survivor passing the keep-test on every
@@ -552,7 +506,7 @@ impl DistanceStore {
         let swept: HashMap<usize, Vec<Dist>> = if sweep_list.is_empty() {
             HashMap::new()
         } else {
-            let provider = provider.force();
+            provider.force();
             sweep_list.par_iter().map(|&i| (i, provider.row(i))).collect()
         };
         let rows: Vec<Vec<Dist>> = (0..dim)
@@ -689,14 +643,15 @@ mod tests {
     }
 
     #[test]
-    fn implicit_hanan_matches_the_dijkstra_baseline() {
+    fn implicit_store_matches_hanan_ground_truth() {
         let w = uniform_disjoint(6, 5);
-        let baseline = crate::baseline::dijkstra_sssp_matrix(&w.obstacles);
-        let implicit = DistanceStore::implicit_hanan(&w.obstacles, usize::MAX);
+        let verts = w.obstacles.vertices();
+        let truth = rsp_geom::hanan::ground_truth_matrix(&w.obstacles, &verts);
+        let implicit = DistanceStore::implicit_sweep(&w.obstacles, usize::MAX);
         assert_eq!(implicit.kind(), StoreKind::Implicit { budget_bytes: usize::MAX });
-        for i in 0..baseline.rows() {
-            for j in 0..baseline.cols() {
-                assert_eq!(implicit.at(i, j), baseline.get(i, j), "({i},{j})");
+        for (i, row) in truth.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
+                assert_eq!(implicit.at(i, j), d, "({i},{j})");
             }
         }
         assert!(implicit.as_dense().is_none());

@@ -24,8 +24,6 @@
 //! * [`locate`] — [`ObstacleIndex`]: logarithmic point containment and
 //!   axis-parallel segment clearance (the other half of the [4] stand-in;
 //!   replaces the `O(n)` scans on the Section 6.4 query hot path).
-//! * [`trapezoid`] — the per-vertex trapezoidal decomposition and the
-//!   `Hit(e)` sets used by Sections 8 and 9.
 //! * [`bq`] — the boundary discretisation `B(Q)` of Definition 1 (Fig. 3)
 //!   and the coordinate-grid superset `B'(Q)` used by the divide-and-conquer.
 //! * [`hanan`] — a Hanan-grid Dijkstra used as ground truth in tests.
@@ -41,7 +39,6 @@ pub mod rayshoot;
 pub mod rect;
 pub mod region;
 pub mod staircase;
-pub mod trapezoid;
 
 pub use chain::{Chain, Side};
 pub use locate::ObstacleIndex;

@@ -30,6 +30,13 @@ impl Rect {
         Rect { xmin, ymin, xmax, ymax }
     }
 
+    /// True when the rectangle has zero (or negative) width or height.
+    /// [`Rect::new`] rejects such rectangles, but a deserialised `Rect`
+    /// bypasses it, so untrusted input is checked with this.
+    pub fn is_degenerate(&self) -> bool {
+        self.xmin >= self.xmax || self.ymin >= self.ymax
+    }
+
     /// Horizontal extent `xmax - xmin`.
     pub fn width(&self) -> Coord {
         self.xmax - self.xmin

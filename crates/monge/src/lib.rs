@@ -25,25 +25,21 @@
 //! * [`monge`] — the Monge predicate and counter-example search;
 //! * [`smawk`] — SMAWK row-minima of totally monotone matrices;
 //! * [`multiply`] — naive, Monge (row-minima based) and rayon-parallel
-//!   (min,+) products, plus the padded product of Lemma 4 and per-row lazy
-//!   product evaluation;
-//! * [`view`] — borrowing submatrix/padding views and the [`MatrixAccess`]
-//!   trait the predicates and products are generic over;
-//! * [`implicit`] — [`ImplicitMongeMatrix`], a lazy SMAWK-backed (min,+)
-//!   product behind a byte-budgeted LRU [`BlockCache`](implicit::BlockCache).
+//!   (min,+) products, plus the brute-force fallback for non-Monge factors;
+//! * [`view`] — borrowing submatrix views and the [`MatrixAccess`] trait the
+//!   predicates and products are generic over.
+//!
+//! Lemma 4's `+∞` padding needs no product of its own: the products here
+//! accept unequal dimensions directly, and [`MinPlusMatrix::pad_to`]
+//! materialises the padding where a test wants to check it.
 
-pub mod implicit;
 pub mod matrix;
 pub mod monge;
 pub mod multiply;
 pub mod smawk;
 pub mod view;
 
-pub use implicit::{BlockCache, BlockCacheStats, ImplicitMongeMatrix};
 pub use matrix::MinPlusMatrix;
 pub use monge::{is_monge, monge_violation};
-pub use multiply::{
-    min_plus_monge, min_plus_naive, min_plus_parallel, min_plus_product_row, min_plus_product_row_general,
-    min_plus_product_rows,
-};
-pub use view::{MatrixAccess, PaddedView, SubmatrixView};
+pub use multiply::{min_plus_monge, min_plus_naive, min_plus_parallel};
+pub use view::{MatrixAccess, SubmatrixView};

@@ -5,31 +5,24 @@
 //! exactly the statement that any algorithm doing `W` operations in depth `T`
 //! can be run by `p` processors in `O(W/p + T)` time — which is what a
 //! work-stealing scheduler such as rayon delivers.  This crate provides the
-//! PRAM building blocks the paper cites, implemented on top of rayon:
+//! PRAM building blocks the reproduction actually calls, implemented on top
+//! of rayon:
 //!
-//! * [`scan`] — parallel prefix (Kruskal/Ladner–Fischer, refs [18, 19]);
-//! * [`merge`] — parallel merging of sorted sequences (Shiloach–Vishkin,
-//!   ref [35]);
-//! * [`sort`] — parallel sorting (Cole's merge sort, ref [10], realised with
-//!   rayon's parallel sort — same `O(n log n)` work, `O(log n)`-ish depth);
 //! * [`euler`] — Euler-tour tree computations (Tarjan–Vishkin, ref [36]):
 //!   depths and root paths in rooted forests;
 //! * [`level_ancestor`] — level-ancestor queries (Berkman–Vishkin, ref [5]),
 //!   realised with jump pointers (`O(n log n)` preprocessing, `O(log n)`
 //!   query; the substitution is documented in DESIGN.md §3);
-//! * [`cost`] — work/depth accounting so benchmarks can report PRAM-model
-//!   quantities next to wall-clock times;
 //! * [`pool`] — helpers to run a closure on a pool of exactly `p` workers
-//!   (used by the speedup experiments, E9).
+//!   (used by the speedup experiments, E9 and E11).
+//!
+//! The other primitives the paper cites (parallel prefix, merging, Cole's
+//! sort) need no module of their own: where the code needs them, rayon's
+//! parallel iterators do the work.
 
-pub mod cost;
 pub mod euler;
 pub mod level_ancestor;
-pub mod merge;
 pub mod pool;
-pub mod scan;
-pub mod sort;
 
-pub use cost::{CostCounter, CostGuard};
 pub use euler::Forest;
 pub use level_ancestor::LevelAncestor;

@@ -26,8 +26,9 @@ use std::io::{Read, Write};
 /// breakdown of [`SessionStoreStats`].  v4: [`Request::UpdateScene`] /
 /// [`Response::SceneUpdated`] incremental scene editing, the
 /// [`ServerError::InvalidDelta`] mirror, and [`SessionStoreStats`] gained
-/// `epoch` plus the delta-reuse counters.)
-pub const PROTOCOL_VERSION: u8 = 4;
+/// `epoch` plus the delta-reuse counters.  v5: the
+/// [`ServerError::DegenerateObstacle`] mirror.)
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Upper bound on a frame's payload length in bytes (16 MiB).
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
@@ -166,6 +167,11 @@ pub enum Response {
 /// has (unknown scene, shutdown, transport).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServerError {
+    /// Mirror of [`RspError::DegenerateObstacle`].
+    DegenerateObstacle {
+        /// Id of the zero-width or zero-height obstacle.
+        obstacle: RectId,
+    },
     /// Mirror of [`RspError::OverlappingObstacles`].
     OverlappingObstacles {
         /// The offending pair, ids and rectangles intact.
@@ -235,6 +241,7 @@ impl std::error::Error for ServerError {}
 impl From<RspError> for ServerError {
     fn from(e: RspError) -> Self {
         match e {
+            RspError::DegenerateObstacle(obstacle) => ServerError::DegenerateObstacle { obstacle },
             RspError::OverlappingObstacles(violation) => ServerError::OverlappingObstacles { violation },
             RspError::ObstacleOutsideContainer(obstacle) => ServerError::ObstacleOutsideContainer { obstacle },
             RspError::ContainerNotConvex => ServerError::ContainerNotConvex,
@@ -253,6 +260,7 @@ impl ServerError {
     /// `From<RspError>` this makes the mirroring round-trip testable.
     pub fn into_rsp(self) -> Option<RspError> {
         match self {
+            ServerError::DegenerateObstacle { obstacle } => Some(RspError::DegenerateObstacle(obstacle)),
             ServerError::OverlappingObstacles { violation } => Some(RspError::OverlappingObstacles(violation)),
             ServerError::ObstacleOutsideContainer { obstacle } => Some(RspError::ObstacleOutsideContainer(obstacle)),
             ServerError::ContainerNotConvex => Some(RspError::ContainerNotConvex),

@@ -9,7 +9,7 @@
 
 use crate::protocol::{Request, Response, SceneId, ServerError, ServerStats};
 use crate::shard::ShardSet;
-use rsp_core::router::{Engine, Router};
+use rsp_core::router::Router;
 use rsp_core::store::StoreKind;
 use rsp_geom::{Dist, ObstacleSet, Point, RectiPath, SceneDelta};
 use std::sync::Arc;
@@ -32,8 +32,6 @@ pub struct ServiceConfig {
     /// Admission size budget: a batch dispatches as soon as it holds this
     /// many queries (default 256).
     pub batch_max: usize,
-    /// Engine for session construction (default [`Engine::Auto`]).
-    pub engine: Engine,
     /// Distance store for session construction (default [`StoreKind::Auto`]:
     /// dense for small scenes, byte-budgeted implicit rows for large ones).
     pub store: StoreKind,
@@ -47,7 +45,6 @@ impl Default for ServiceConfig {
             session_budget_bytes: 1 << 30,
             batch_window: Duration::from_micros(200),
             batch_max: 256,
-            engine: Engine::Auto,
             store: StoreKind::Auto,
         }
     }

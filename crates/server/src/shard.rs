@@ -24,12 +24,7 @@ pub struct Shard {
 impl Shard {
     fn new(config: &ServiceConfig) -> Self {
         Shard {
-            sessions: SessionCache::with_limits(
-                config.session_capacity,
-                config.session_budget_bytes,
-                config.engine,
-                config.store,
-            ),
+            sessions: SessionCache::with_limits(config.session_capacity, config.session_budget_bytes, config.store),
             queue: Coalescer::new(config.batch_window, config.batch_max),
         }
     }

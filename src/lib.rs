@@ -26,7 +26,7 @@
 //! lazily, exactly once, and shared:
 //!
 //! ```
-//! use rectilinear_shortest_paths::{Engine, ObstacleSet, Point, Rect, Router};
+//! use rectilinear_shortest_paths::{ObstacleSet, Point, Rect, Router};
 //!
 //! // A rectilinear "floor plan": disjoint axis-parallel rectangular obstacles.
 //! let obstacles = ObstacleSet::new(vec![
@@ -36,8 +36,9 @@
 //! ]);
 //!
 //! // Build a session.  Overlapping obstacles are a typed error naming the
-//! // offending pair, not a panic.
-//! let router = Router::builder(obstacles).engine(Engine::Auto).build()?;
+//! // offending pair, not a panic.  `threads(p)` pins the session to a pool
+//! // of `p` workers; answers are bitwise the same for every `p`.
+//! let router = Router::builder(obstacles).threads(2).build()?;
 //!
 //! // 1. Length queries (Section 6): O(1) between obstacle vertices,
 //! //    O(log n) between arbitrary points.
@@ -77,7 +78,7 @@ pub use rsp_workload as workload;
 
 // The session layer: everything a typical application needs, importable
 // without touching the expert `core::*` / `geom::*` module paths.
-pub use rsp_core::router::{BuildCounts, Engine, Router, RouterBuilder};
+pub use rsp_core::router::{BuildCounts, Router, RouterBuilder};
 pub use rsp_core::store::{StoreKind, StoreStats};
 pub use rsp_core::trace::EscapeKind;
 pub use rsp_core::RspError;

@@ -1,18 +1,21 @@
-//! Determinism certification for the work-stealing scheduler: every Router
-//! engine must return **bitwise-identical** distances and paths no matter
-//! how many worker threads serve the session.  This is what licenses the
-//! parallel engines as drop-in replacements for the sequential one — any
-//! scheduling-order leak (a non-associative reduction, an
-//! iteration-order-dependent tie-break, a racy write) shows up here as a
-//! cross-thread-count diff.
+//! Determinism certification for the work-stealing scheduler: a Router
+//! session must return **bitwise-identical** distances and paths no matter
+//! how many worker threads serve it and which distance store backs it.
+//! Every store has one construction path (the Section 9 sweep, fanned out or
+//! run lazily), so any scheduling-order leak (a non-associative reduction,
+//! an iteration-order-dependent tie-break, a racy write) shows up here as a
+//! cross-thread-count diff.  A sample of every answer set is also checked
+//! against the Hanan-grid ground truth, so agreement cannot hide a shared
+//! error.
 //!
 //! Seeded scenes cover the three workload families (uniform, clustered,
 //! corridors); a property-based sweep then fuzzes scene shape and mixed
 //! vertex/arbitrary batches.
 
 use proptest::prelude::*;
+use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
 use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, uniform_disjoint};
-use rectilinear_shortest_paths::{Dist, Engine, ObstacleSet, Point, RectiPath, Router, StoreKind};
+use rectilinear_shortest_paths::{Dist, ObstacleSet, Point, RectiPath, Router, StoreKind};
 
 /// Distance stores under test: the dense matrix and an implicit store with a
 /// deliberately tiny budget (two rows), so eviction churn and lazy
@@ -22,12 +25,14 @@ fn store_kinds(obstacles: &ObstacleSet) -> [StoreKind; 2] {
     [StoreKind::Dense, StoreKind::Implicit { budget_bytes: 2 * row_bytes }]
 }
 
-/// Thread counts under test: sequential, minimal parallelism, and the full
-/// machine (deduplicated on small machines).
-fn thread_counts() -> Vec<usize> {
+/// Thread counts under test: sequential, minimal parallelism, the full
+/// machine (deduplicated on small machines), and `None` for an unpinned
+/// session on the global pool.
+fn thread_counts() -> Vec<Option<usize>> {
     let max = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).max(2);
-    let mut counts = vec![1, 2, max];
+    let mut counts = vec![Some(1), Some(2), Some(max)];
     counts.dedup();
+    counts.push(None);
     counts
 }
 
@@ -45,21 +50,48 @@ fn mixed_batch(obstacles: &ObstacleSet, seed: u64) -> Vec<(Point, Point)> {
     pairs
 }
 
-/// Distances and paths served by one engine at one thread count with one
-/// distance store.
+/// A router over `obstacles` with the given store, pinned to `threads`
+/// workers (or on the global pool for `None`).
+fn router(obstacles: &ObstacleSet, threads: Option<usize>, store: StoreKind) -> Router {
+    let builder = Router::builder(obstacles.clone()).store(store);
+    match threads {
+        Some(p) => builder.threads(p),
+        None => builder,
+    }
+    .build()
+    .expect("valid scene")
+}
+
+/// Distances and paths served at one thread count with one distance store.
 fn serve(
     obstacles: &ObstacleSet,
-    engine: Engine,
-    threads: usize,
+    threads: Option<usize>,
     store: StoreKind,
     pairs: &[(Point, Point)],
     vertex_pairs: &[(Point, Point)],
 ) -> (Vec<Dist>, Vec<RectiPath>) {
-    let router =
-        Router::builder(obstacles.clone()).engine(engine).threads(threads).store(store).build().expect("valid scene");
+    let router = router(obstacles, threads, store);
     let distances = router.distances(pairs).expect("distance batch");
     let paths = router.paths(vertex_pairs).expect("path batch");
     (distances, paths)
+}
+
+/// Check every third answer against the Hanan-grid ground truth: distances
+/// directly, paths by certifying the true length.
+fn assert_ground_truth(
+    obstacles: &ObstacleSet,
+    pairs: &[(Point, Point)],
+    vertex_pairs: &[(Point, Point)],
+    (distances, paths): &(Vec<Dist>, Vec<RectiPath>),
+    label: &str,
+) {
+    for (&(a, b), &d) in pairs.iter().zip(distances).step_by(3) {
+        assert_eq!(d, ground_truth_distance(obstacles, a, b), "{label}: {a:?} -> {b:?}");
+    }
+    for (&(s, t), path) in vertex_pairs.iter().zip(paths).step_by(3) {
+        let expect = ground_truth_distance(obstacles, s, t);
+        assert!(path.certifies(obstacles, s, t, expect), "{label}: bad path {s:?} -> {t:?}");
+    }
 }
 
 #[test]
@@ -72,39 +104,70 @@ fn every_engine_is_bitwise_deterministic_across_thread_counts() {
     for (name, obstacles) in scenes {
         let pairs = mixed_batch(&obstacles, 77);
         let vertex_pairs = query_pairs(&obstacles, 10, true, 99);
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
-            // One reference per engine, shared across the thread-count AND
-            // store matrix: thread scheduling must not move an answer, and
-            // neither may the implicit store's lazy materialisation /
-            // eviction order.
-            let mut reference: Option<(Vec<Dist>, Vec<RectiPath>)> = None;
-            for threads in thread_counts() {
-                for store in store_kinds(&obstacles) {
-                    let result = serve(&obstacles, engine, threads, store, &pairs, &vertex_pairs);
-                    match &reference {
-                        None => reference = Some(result),
-                        Some((dist0, paths0)) => {
-                            assert_eq!(
-                                &result.0, dist0,
-                                "{name}/{engine:?}/{store:?}: distances diverge at {threads} threads"
-                            );
-                            assert_eq!(
-                                &result.1, paths0,
-                                "{name}/{engine:?}/{store:?}: paths diverge at {threads} threads"
-                            );
-                        }
+        // One reference shared across the thread-count AND store matrix:
+        // thread scheduling must not move an answer, and neither may the
+        // implicit store's lazy materialisation / eviction order.
+        let mut reference: Option<(Vec<Dist>, Vec<RectiPath>)> = None;
+        for threads in thread_counts() {
+            for store in store_kinds(&obstacles) {
+                let result = serve(&obstacles, threads, store, &pairs, &vertex_pairs);
+                match &reference {
+                    None => reference = Some(result),
+                    Some((dist0, paths0)) => {
+                        assert_eq!(&result.0, dist0, "{name}/{store:?}: distances diverge at {threads:?} threads");
+                        assert_eq!(&result.1, paths0, "{name}/{store:?}: paths diverge at {threads:?} threads");
                     }
                 }
             }
         }
+        let reference = reference.expect("the matrix is non-empty");
+        assert_ground_truth(&obstacles, &pairs, &vertex_pairs, &reference, name);
     }
 }
 
+/// A session built with no configuration beyond the scene (default store,
+/// pinned or unpinned thread count) must serve the same distances at every
+/// thread count, every path must certify the vertex distance the session
+/// itself reports, and those answers must match the Hanan-grid ground truth.
+#[test]
+fn auto_engine_distances_agree_across_thread_counts() {
+    let obstacles = uniform_disjoint(8, 21).obstacles;
+    let pairs = mixed_batch(&obstacles, 13);
+    let vertex_pairs = query_pairs(&obstacles, 8, true, 5);
+    let mut reference: Option<(Vec<Dist>, Vec<RectiPath>)> = None;
+    for threads in thread_counts() {
+        let builder = Router::builder(obstacles.clone());
+        let router = match threads {
+            Some(p) => builder.threads(p),
+            None => builder,
+        }
+        .build()
+        .expect("valid scene");
+        let distances = router.distances(&pairs).expect("distance batch");
+        let mut paths = Vec::with_capacity(vertex_pairs.len());
+        for &(s, t) in &vertex_pairs {
+            let expect = router.vertex_distance(s, t).unwrap();
+            let path = router.path(s, t).unwrap();
+            assert!(path.certifies(&obstacles, s, t, expect), "{threads:?} threads: path fails to certify");
+            paths.push(path);
+        }
+        match &reference {
+            None => reference = Some((distances, paths)),
+            Some((dist0, paths0)) => {
+                assert_eq!(&distances, dist0, "default session: distances diverge at {threads:?} threads");
+                assert_eq!(&paths, paths0, "default session: paths diverge at {threads:?} threads");
+            }
+        }
+    }
+    let reference = reference.expect("the matrix is non-empty");
+    assert_ground_truth(&obstacles, &pairs, &vertex_pairs, &reference, "default session");
+}
+
 /// Delta-built sessions are part of the determinism contract too: after a
-/// scene edit ([`Router::apply_delta`]), every engine × thread count × store
-/// must serve the *edited* scene bitwise-identically — the carried
-/// substructures (distance rows, escape staircases, slab columns) must not
-/// leak any base-epoch or scheduling-order artifact into an answer.
+/// scene edit ([`Router::apply_delta`]), every thread count × store must
+/// serve the *edited* scene bitwise-identically — the carried substructures
+/// (distance rows, escape staircases, slab columns) must not leak any
+/// base-epoch or scheduling-order artifact into an answer.
 #[test]
 fn edited_sessions_are_bitwise_deterministic_across_the_matrix() {
     use rectilinear_shortest_paths::workload::edit_stream;
@@ -113,73 +176,34 @@ fn edited_sessions_are_bitwise_deterministic_across_the_matrix() {
     let edited_scene = base.apply_delta(delta).expect("stream delta applies").obstacles;
     let pairs = mixed_batch(&edited_scene, 55);
     let vertex_pairs = query_pairs(&edited_scene, 10, true, 66);
-    for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
-        let mut reference: Option<(Vec<Dist>, Vec<RectiPath>)> = None;
-        for threads in thread_counts() {
-            for store in store_kinds(&base) {
-                let parent = Router::builder(base.clone())
-                    .engine(engine)
-                    .threads(threads)
-                    .store(store)
-                    .build()
-                    .expect("valid scene");
-                // Warm the parent so the delta build has something to carry.
-                let _ = parent.distances(&query_pairs(&base, 4, true, 7)).expect("warm batch");
-                let session = parent.apply_delta(delta).expect("edit applies");
-                let result = (
-                    session.distances(&pairs).expect("distance batch"),
-                    session.paths(&vertex_pairs).expect("path batch"),
-                );
-                match &reference {
-                    None => reference = Some(result),
-                    Some((dist0, paths0)) => {
-                        assert_eq!(
-                            &result.0, dist0,
-                            "edited {engine:?}/{store:?}: distances diverge at {threads} threads"
-                        );
-                        assert_eq!(
-                            &result.1, paths0,
-                            "edited {engine:?}/{store:?}: paths diverge at {threads} threads"
-                        );
-                    }
+    let mut reference: Option<(Vec<Dist>, Vec<RectiPath>)> = None;
+    for threads in thread_counts() {
+        for store in store_kinds(&base) {
+            let parent = router(&base, threads, store);
+            // Warm the parent so the delta build has something to carry.
+            let _ = parent.distances(&query_pairs(&base, 4, true, 7)).expect("warm batch");
+            let session = parent.apply_delta(delta).expect("edit applies");
+            let result =
+                (session.distances(&pairs).expect("distance batch"), session.paths(&vertex_pairs).expect("path batch"));
+            match &reference {
+                None => reference = Some(result),
+                Some((dist0, paths0)) => {
+                    assert_eq!(&result.0, dist0, "edited {store:?}: distances diverge at {threads:?} threads");
+                    assert_eq!(&result.1, paths0, "edited {store:?}: paths diverge at {threads:?} threads");
                 }
             }
         }
     }
-}
-
-/// `Engine::Auto` resolves to different engines at different thread counts
-/// (Sequential at 1, DivideAndConquer otherwise), so paths may legitimately
-/// differ in shape — but distances are ground truth and must agree, and
-/// every path must certify the same length.
-#[test]
-fn auto_engine_distances_agree_across_thread_counts() {
-    let obstacles = uniform_disjoint(8, 21).obstacles;
-    let pairs = mixed_batch(&obstacles, 13);
-    let vertex_pairs = query_pairs(&obstacles, 8, true, 5);
-    let mut reference: Option<Vec<Dist>> = None;
-    for threads in thread_counts() {
-        let router =
-            Router::builder(obstacles.clone()).engine(Engine::Auto).threads(threads).build().expect("valid scene");
-        let distances = router.distances(&pairs).expect("distance batch");
-        match &reference {
-            None => reference = Some(distances),
-            Some(dist0) => assert_eq!(&distances, dist0, "Auto: distances diverge at {threads} threads"),
-        }
-        for &(s, t) in &vertex_pairs {
-            let expect = router.vertex_distance(s, t).unwrap();
-            let path = router.path(s, t).unwrap();
-            assert!(path.certifies(&obstacles, s, t, expect), "Auto/{threads} threads: path fails to certify");
-        }
-    }
+    let reference = reference.expect("the matrix is non-empty");
+    assert_ground_truth(&edited_scene, &pairs, &vertex_pairs, &reference, "edited");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Fuzzed scenes and batches: for every engine, a 2-thread and a
-    /// max-thread session must reproduce the single-thread session bit for
-    /// bit (distances and vertex-pair paths).
+    /// Fuzzed scenes and batches: every other thread count and store must
+    /// reproduce the single-thread dense session bit for bit (distances and
+    /// vertex-pair paths), and that session must match the ground truth.
     #[test]
     fn engines_reproduce_single_thread_results_on_random_scenes(
         n in 2usize..7,
@@ -190,14 +214,15 @@ proptest! {
         let pairs = mixed_batch(&obstacles, batch_seed);
         let vertex_pairs = query_pairs(&obstacles, 6, true, batch_seed + 7);
         prop_assume!(!pairs.is_empty());
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
-            let baseline = serve(&obstacles, engine, 1, StoreKind::Dense, &pairs, &vertex_pairs);
-            for threads in thread_counts().into_iter().skip(1) {
-                for store in store_kinds(&obstacles) {
-                    let parallel = serve(&obstacles, engine, threads, store, &pairs, &vertex_pairs);
-                    prop_assert_eq!(&parallel.0, &baseline.0);
-                    prop_assert_eq!(&parallel.1, &baseline.1);
-                }
+        let baseline = serve(&obstacles, Some(1), StoreKind::Dense, &pairs, &vertex_pairs);
+        for (&(a, b), &d) in pairs.iter().zip(&baseline.0).step_by(5) {
+            prop_assert_eq!(d, ground_truth_distance(&obstacles, a, b));
+        }
+        for threads in thread_counts().into_iter().skip(1) {
+            for store in store_kinds(&obstacles) {
+                let parallel = serve(&obstacles, threads, store, &pairs, &vertex_pairs);
+                prop_assert_eq!(&parallel.0, &baseline.0);
+                prop_assert_eq!(&parallel.1, &baseline.1);
             }
         }
     }

@@ -1,10 +1,11 @@
 //! Certification of incremental scene editing ([`Router::apply_delta`]):
 //! a session built by delta rebuild must be **bitwise-identical** — every
 //! distance and every reported path — to a session built from scratch on
-//! the edited scene, after *every* step of an edit stream, for every engine,
-//! both distance stores, and multiple thread counts.  This is what licenses
-//! the delta path's substructure reuse (carried distance rows, escape
-//! staircases and ray-shooting slab columns) as a pure optimisation.
+//! the edited scene, after *every* step of an edit stream, for both distance
+//! stores and multiple thread counts — and a sample of its answers must
+//! match the Hanan-grid ground truth.  This is what licenses the delta
+//! path's substructure reuse (carried distance rows, escape staircases and
+//! ray-shooting slab columns) as a pure optimisation.
 //!
 //! The reuse itself is certified separately: a far single-rectangle edit on
 //! a large scene must carry >90% of the slab columns and >90% of the
@@ -13,8 +14,9 @@
 //! (`rsp-server`) resolve edits back to identical ids.
 
 use proptest::prelude::*;
+use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
 use rectilinear_shortest_paths::workload::{edit_stream, query_pairs, uniform_disjoint};
-use rectilinear_shortest_paths::{Dist, Engine, ObstacleSet, Rect, Router, SceneDelta, StoreKind};
+use rectilinear_shortest_paths::{Dist, ObstacleSet, Rect, Router, SceneDelta, StoreKind};
 
 /// Distance stores under test: the dense matrix and an implicit store with a
 /// deliberately tiny budget (two rows), so the delta carry also runs under
@@ -26,15 +28,16 @@ fn store_kinds(obstacles: &ObstacleSet) -> [StoreKind; 2] {
 
 /// Assert the delta-built `edited` session answers exactly like the
 /// from-scratch `fresh` session on `scene`: arbitrary-point distances,
-/// vertex distances and vertex-pair paths.
+/// vertex distances and vertex-pair paths.  Every fourth distance is also
+/// checked against the Hanan-grid ground truth.
 fn assert_bitwise_equal(edited: &Router, fresh: &Router, scene: &ObstacleSet, seed: u64, label: &str) {
     let mut pairs = query_pairs(scene, 8, false, seed);
     pairs.extend(query_pairs(scene, 8, true, seed + 1));
-    assert_eq!(
-        edited.distances(&pairs).expect("edited distances"),
-        fresh.distances(&pairs).expect("fresh distances"),
-        "{label}: distances diverge"
-    );
+    let distances = edited.distances(&pairs).expect("edited distances");
+    assert_eq!(distances, fresh.distances(&pairs).expect("fresh distances"), "{label}: distances diverge");
+    for (&(a, b), &d) in pairs.iter().zip(&distances).step_by(4) {
+        assert_eq!(d, ground_truth_distance(scene, a, b), "{label}: {a:?} -> {b:?} against ground truth");
+    }
     let vertex_pairs = query_pairs(scene, 8, true, seed + 2);
     assert_eq!(
         edited.paths(&vertex_pairs).expect("edited paths"),
@@ -43,38 +46,31 @@ fn assert_bitwise_equal(edited: &Router, fresh: &Router, scene: &ObstacleSet, se
     );
 }
 
-/// The full certification matrix: engines × stores × thread counts, walked
-/// along one seeded edit stream, comparing after **every** step.  Each epoch
-/// is warmed with a query batch before the next edit so the delta build has
+/// The full certification matrix: stores × thread counts, walked along one
+/// seeded edit stream, comparing after **every** step.  Each epoch is warmed
+/// with a query batch before the next edit so the delta build has
 /// substructures to carry (a cold `apply_delta` would just build fresh).
 #[test]
-fn edit_streams_stay_bitwise_faithful_for_every_engine_store_and_thread_count() {
+fn edit_streams_stay_bitwise_faithful_for_every_store_and_thread_count() {
     let base = uniform_disjoint(8, 42).obstacles;
     let stream = edit_stream(&base, 6, 7);
-    for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
-        for store in store_kinds(&base) {
-            for threads in [1usize, 2] {
-                let build = |obstacles: ObstacleSet| {
-                    Router::builder(obstacles)
-                        .engine(engine)
-                        .store(store)
-                        .threads(threads)
-                        .build()
-                        .expect("valid scene")
-                };
-                let mut session = build(base.clone());
-                let mut scene = base.clone();
-                for (step, delta) in stream.iter().enumerate() {
-                    // Warm the current epoch, then edit.
-                    let warm = query_pairs(&scene, 4, true, step as u64);
-                    let _ = session.distances(&warm).expect("warm batch");
-                    session = session.apply_delta(delta).expect("stream deltas stay valid");
-                    scene = scene.apply_delta(delta).expect("stream deltas stay valid").obstacles;
-                    assert_eq!(session.epoch(), step as u64 + 1);
-                    let fresh = build(scene.clone());
-                    let label = format!("{engine:?}/{store:?}/{threads}t/step {step}");
-                    assert_bitwise_equal(&session, &fresh, &scene, 1000 + step as u64, &label);
-                }
+    for store in store_kinds(&base) {
+        for threads in [1usize, 2] {
+            let build = |obstacles: ObstacleSet| {
+                Router::builder(obstacles).store(store).threads(threads).build().expect("valid scene")
+            };
+            let mut session = build(base.clone());
+            let mut scene = base.clone();
+            for (step, delta) in stream.iter().enumerate() {
+                // Warm the current epoch, then edit.
+                let warm = query_pairs(&scene, 4, true, step as u64);
+                let _ = session.distances(&warm).expect("warm batch");
+                session = session.apply_delta(delta).expect("stream deltas stay valid");
+                scene = scene.apply_delta(delta).expect("stream deltas stay valid").obstacles;
+                assert_eq!(session.epoch(), step as u64 + 1);
+                let fresh = build(scene.clone());
+                let label = format!("{store:?}/{threads}t/step {step}");
+                assert_bitwise_equal(&session, &fresh, &scene, 1000 + step as u64, &label);
             }
         }
     }

@@ -1,54 +1,65 @@
-//! Integration tests for the `Router` session API: engine agreement on
-//! seeded workload scenes, batch-vs-per-call equivalence (property-based),
-//! the build-once guarantee for shared substructures, and typed errors.
+//! Integration tests for the `Router` session API: agreement with two
+//! independent engines (the Hanan-grid ground truth and the per-source
+//! Hanan Dijkstra baseline) on seeded workload scenes, batch-vs-per-call
+//! equivalence (property-based), the build-once guarantee for shared
+//! substructures, and typed errors.
 
 use proptest::prelude::*;
+use rectilinear_shortest_paths::core::baseline::dijkstra_sssp_matrix;
 use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
 use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, uniform_disjoint};
-use rectilinear_shortest_paths::{Engine, ObstacleSet, Point, Rect, Router, RspError};
+use rectilinear_shortest_paths::{Dist, ObstacleSet, Point, Rect, Router, RspError, StoreKind};
 use std::sync::Arc;
 
-/// Router sessions over the same scene, one per engine variant.
-fn routers_for_all_engines(obstacles: &ObstacleSet) -> Vec<(Engine, Router)> {
-    [Engine::Auto, Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline]
-        .into_iter()
-        .map(|e| (e, Router::builder(obstacles.clone()).engine(e).build().expect("valid scene")))
-        .collect()
+/// Router sessions over the same scene, one per configuration: the default,
+/// a single-thread session, and a starved two-row implicit store.
+fn routers_for_all_configs(obstacles: &ObstacleSet) -> Vec<(&'static str, Router)> {
+    let row_bytes = 4 * obstacles.len() * std::mem::size_of::<Dist>();
+    let implicit = StoreKind::Implicit { budget_bytes: 2 * row_bytes };
+    vec![
+        ("default", Router::new(obstacles.clone()).expect("valid scene")),
+        ("1 thread", Router::builder(obstacles.clone()).threads(1).build().expect("valid scene")),
+        ("implicit", Router::builder(obstacles.clone()).store(implicit).build().expect("valid scene")),
+    ]
 }
 
 #[test]
 fn engines_agree_on_seeded_scenes() {
     let scenes = [uniform_disjoint(7, 4).obstacles, clustered(6, 2, 9).obstacles, corridors(3, 40, 11).obstacles];
     for obstacles in scenes {
-        let routers = routers_for_all_engines(&obstacles);
+        let routers = routers_for_all_configs(&obstacles);
         let verts = obstacles.vertices();
         let arbitrary = query_pairs(&obstacles, 12, false, 31);
+        let dijkstra = dijkstra_sssp_matrix(&obstacles);
 
-        // Distances: vertex pairs and arbitrary pairs, identical across engines
-        // and equal to the Hanan-grid ground truth.
-        for &a in verts.iter().step_by(3) {
-            for &b in verts.iter().step_by(5) {
+        // Distances: vertex pairs and arbitrary pairs, identical across
+        // configurations and equal to the Hanan-grid ground truth and the
+        // Dijkstra baseline.
+        for (i, &a) in verts.iter().enumerate().step_by(3) {
+            for (j, &b) in verts.iter().enumerate().step_by(5) {
                 let expect = ground_truth_distance(&obstacles, a, b);
-                for (engine, router) in &routers {
-                    assert_eq!(router.vertex_distance(a, b), Ok(expect), "{engine:?}: {a:?} -> {b:?}");
+                assert_eq!(dijkstra.get(i, j), expect, "baseline: {a:?} -> {b:?}");
+                for (config, router) in &routers {
+                    assert_eq!(router.vertex_distance(a, b), Ok(expect), "{config}: {a:?} -> {b:?}");
                 }
             }
         }
         for &(a, b) in &arbitrary {
             let expect = ground_truth_distance(&obstacles, a, b);
-            for (engine, router) in &routers {
-                assert_eq!(router.distance(a, b), Ok(expect), "{engine:?}: {a:?} -> {b:?}");
+            for (config, router) in &routers {
+                assert_eq!(router.distance(a, b), Ok(expect), "{config}: {a:?} -> {b:?}");
             }
         }
 
-        // Paths: every engine reports a valid path certifying the same length.
+        // Paths: every configuration reports a valid path certifying the
+        // true length.
         let sources = [verts[0], verts[verts.len() / 2]];
         for &s in &sources {
             for &t in verts.iter().step_by(7) {
                 let expect = ground_truth_distance(&obstacles, s, t);
-                for (engine, router) in &routers {
+                for (config, router) in &routers {
                     let path = router.path(s, t).unwrap();
-                    assert!(path.certifies(&obstacles, s, t, expect), "{engine:?}: bad path {s:?} -> {t:?}");
+                    assert!(path.certifies(&obstacles, s, t, expect), "{config}: bad path {s:?} -> {t:?}");
                 }
             }
         }

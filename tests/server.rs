@@ -1,15 +1,16 @@
 //! Integration tests for the `rsp-server` serving subsystem: concurrent
 //! TCP clients sharing build-once sessions, coalesced answers agreeing
 //! bitwise with direct `Router` calls, the LRU residency bound over the
-//! wire, and (property-based) the `RspError` → `ServerError` wire mapping
+//! wire, hostile geometry coming back as a typed error instead of a dead
+//! shard, and (property-based) the `RspError` → `ServerError` wire mapping
 //! preserving every variant's evidence through serialisation.
 
 use proptest::prelude::*;
-use rectilinear_shortest_paths::geom::DisjointnessViolation;
-use rectilinear_shortest_paths::server::{Client, RspService, Server, ServerError, ServiceConfig};
+use rectilinear_shortest_paths::geom::{DeltaError, DisjointnessViolation};
+use rectilinear_shortest_paths::server::{Client, Request, Response, RspService, Server, ServerError, ServiceConfig};
 use rectilinear_shortest_paths::workload::{query_pairs, uniform_disjoint};
 use rectilinear_shortest_paths::{ObstacleSet, Point, Rect, Router, RspError};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -127,8 +128,40 @@ fn lru_bound_caps_resident_sessions_over_tcp() {
 }
 
 /// Build one of each `RspError` variant from sampled evidence.
+/// A zero-width rectangle decoded from a client frame (serde bypasses
+/// `Rect::new`'s assert) must come back as a typed error, not reach the
+/// sweep and kill the shard's coalescer worker: a valid point query on the
+/// same (only) shard must still answer within a deadline.
+#[test]
+fn degenerate_obstacle_from_the_wire_is_typed_and_leaves_the_shard_serving() {
+    let service = Arc::new(RspService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() }));
+    let flat = ObstacleSet::new(vec![Rect { xmin: 0, ymin: 0, xmax: 0, ymax: 4 }]);
+    let frame = serde_json::to_string(&Request::LoadScene { obstacles: flat.clone() }).expect("serialise");
+    let decoded: Request = serde_json::from_str(&frame).expect("a degenerate rect still decodes");
+    let rejected = Response::Error { error: ServerError::DegenerateObstacle { obstacle: 0 } };
+    assert_eq!(service.handle(decoded), rejected);
+    // A point query naming the rejected scene gets the same typed error.
+    let (a, b) = (Point::new(-1, -1), Point::new(20, 20));
+    assert_eq!(service.handle(Request::Distance { scene: flat.scene_hash(), a, b }), rejected);
+
+    let good = uniform_disjoint(6, 3).obstacles;
+    let scene = match service.handle(Request::LoadScene { obstacles: good.clone() }) {
+        Response::SceneLoaded { scene, .. } => scene,
+        other => panic!("valid scene failed to load: {other:?}"),
+    };
+    let (a, b) = query_pairs(&good, 1, false, 5)[0];
+    let (tx, rx) = mpsc::channel();
+    let worker = Arc::clone(&service);
+    thread::spawn(move || tx.send(worker.handle(Request::Distance { scene, a, b })));
+    let expect = Router::new(good).unwrap().distance(a, b).unwrap();
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(Response::Distance { length }) => assert_eq!(length, expect),
+        other => panic!("the shard stopped answering: {other:?}"),
+    }
+}
+
 fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> RspError {
-    match selector % 7 {
+    match selector % 9 {
         0 => RspError::OverlappingObstacles(DisjointnessViolation {
             first: id_a,
             second: id_b,
@@ -140,6 +173,8 @@ fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> Rsp
         3 => RspError::NotAVertex(Point::new(x, y)),
         4 => RspError::PointOutsideContainer(Point::new(x, y)),
         5 => RspError::PointInsideObstacle { point: Point::new(x, y), obstacle: id_b },
+        6 => RspError::DegenerateObstacle(id_a),
+        7 => RspError::InvalidDelta(DeltaError::RemoveOutOfRange { id: id_a, len: id_b }),
         _ => RspError::ThreadPool(format!("pool of {id_a} threads unavailable")),
     }
 }
@@ -152,7 +187,7 @@ proptest! {
     /// `RspError` rendering identically (the evidence is intact).
     #[test]
     fn every_rsp_error_survives_the_wire(
-        selector in 0u8..7,
+        selector in 0u8..9,
         x in -1000i64..1000,
         y in -1000i64..1000,
         id_a in 0usize..10_000,

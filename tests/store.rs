@@ -4,10 +4,11 @@
 //!
 //! Two angles:
 //!
-//! * A property sweep over every engine and all three workload families
-//!   (uniform, clustered, corridors) comparing `StoreKind::Dense` against a
+//! * A property sweep over all three workload families (uniform, clustered,
+//!   corridors) and two thread counts comparing `StoreKind::Dense` against a
 //!   deliberately starved `StoreKind::Implicit` (two-row budget, so eviction
-//!   churn is constant) — distances and paths must agree bit for bit.
+//!   churn is constant) — distances and paths must agree bit for bit, and a
+//!   sample must match the Hanan-grid ground truth.
 //! * A memory-scaling test at n = 512 / 1024 / 2048 pinning the acceptance
 //!   bar from the O(n²) wall: the implicit store's resident bytes stay
 //!   within its budget, and at n = 2048 that budget — and therefore the
@@ -16,8 +17,9 @@
 use proptest::prelude::*;
 use rectilinear_shortest_paths::core::apsp::VertexApsp;
 use rectilinear_shortest_paths::core::store::{default_budget_bytes, dense_bytes_for};
+use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
 use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, uniform_disjoint};
-use rectilinear_shortest_paths::{Dist, Engine, ObstacleSet, Point, Router, StoreKind};
+use rectilinear_shortest_paths::{Dist, ObstacleSet, Point, Router, StoreKind};
 
 /// An implicit store starved down to two resident rows, so every batch
 /// exercises materialise → evict → re-materialise while it runs.
@@ -39,9 +41,9 @@ fn family(which: usize, n: usize, seed: u64) -> ObstacleSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For every engine and scene family, the starved implicit store serves
-    /// the same bits as the dense matrix — distances on mixed batches and
-    /// paths on vertex pairs.
+    /// For every scene family and thread count, the starved implicit store
+    /// serves the same bits as the dense matrix — distances on mixed batches
+    /// and paths on vertex pairs — and the distances are the true ones.
     #[test]
     fn implicit_store_is_bitwise_equal_to_dense(
         which in 0usize..3,
@@ -54,9 +56,10 @@ proptest! {
         pairs.extend(query_pairs(&obstacles, 10, true, batch_seed + 1));
         let vertex_pairs = query_pairs(&obstacles, 8, true, batch_seed + 2);
         prop_assume!(!pairs.is_empty());
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+        for threads in [1usize, 2] {
             let serve = |store: StoreKind| {
-                let router = Router::builder(obstacles.clone()).engine(engine).store(store).build().expect("valid scene");
+                let router =
+                    Router::builder(obstacles.clone()).threads(threads).store(store).build().expect("valid scene");
                 (
                     router.distances(&pairs).expect("distance batch"),
                     router.paths(&vertex_pairs).expect("path batch"),
@@ -66,12 +69,15 @@ proptest! {
             let (impl_dist, impl_paths) = serve(starved(&obstacles));
             prop_assert_eq!(&impl_dist, &dense_dist);
             prop_assert_eq!(&impl_paths, &dense_paths);
+            for (&(a, b), &d) in pairs.iter().zip(&impl_dist).step_by(4) {
+                prop_assert_eq!(d, ground_truth_distance(&obstacles, a, b));
+            }
         }
     }
 
     /// The batch planner is invisible in results and visible in sweeps: a
     /// vertex batch full of duplicates and flipped orientations is
-    /// bitwise-equal to dense across every engine, and the starved store's
+    /// bitwise-equal to dense at every thread count, and the starved store's
     /// miss counter is bounded by the number of distinct canonical rows —
     /// i.e. each providing row is swept at most once per batch even though
     /// the two-row budget cannot hold the batch's working set.
@@ -96,13 +102,17 @@ proptest! {
             .map(|&(a, b)| std::cmp::min(index[&a], index[&b]))
             .collect::<std::collections::HashSet<_>>()
             .len() as u64;
-        for engine in [Engine::Sequential, Engine::DivideAndConquer, Engine::HananBaseline] {
+        for threads in [1usize, 2] {
             let build = |store: StoreKind| {
-                Router::builder(obstacles.clone()).engine(engine).store(store).build().expect("valid scene")
+                Router::builder(obstacles.clone()).threads(threads).store(store).build().expect("valid scene")
             };
             let dense = build(StoreKind::Dense);
             let implicit = build(starved(&obstacles));
-            prop_assert_eq!(implicit.distances(&pairs).expect("batch"), dense.distances(&pairs).expect("batch"));
+            let distances = implicit.distances(&pairs).expect("batch");
+            prop_assert_eq!(&distances, &dense.distances(&pairs).expect("batch"));
+            for (&(a, b), &d) in pairs.iter().zip(&distances).step_by(5) {
+                prop_assert_eq!(d, ground_truth_distance(&obstacles, a, b));
+            }
             let stats = implicit.memory_stats();
             prop_assert!(
                 stats.row_misses <= distinct_rows,
