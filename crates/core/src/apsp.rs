@@ -10,12 +10,14 @@
 //! is indistinguishable from the paper's schedule.  The substitution is
 //! documented in DESIGN.md §3 (item 4) and evaluated by experiment E4.
 
+use crate::delta::DeltaBase;
 use crate::seq::SingleSourceEngine;
-use crate::store::DistanceStore;
+use crate::store::{DistanceStore, RowCarry, StoreKind};
 use rayon::prelude::*;
 use rsp_geom::{Dist, ObstacleSet, Point, INF};
 use rsp_monge::MinPlusMatrix;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The `V_R`-to-`V_R` path-length structure plus the point-to-index mapping.
 /// Distances live behind a pluggable [`DistanceStore`]: the dense matrix the
@@ -31,10 +33,7 @@ pub struct VertexApsp {
 impl VertexApsp {
     /// Build the dense matrix, parallelising over the `4n` sources.
     pub fn build(obstacles: &ObstacleSet) -> Self {
-        let engine = SingleSourceEngine::new(obstacles);
-        let vertices = engine.vertices().to_vec();
-        let rows: Vec<Vec<Dist>> = vertices.par_iter().map(|&v| engine.distances_from(v)).collect();
-        Self::from_rows(vertices, rows)
+        Self::build_with(Arc::new(obstacles.clone()), StoreKind::Dense, None).0
     }
 
     /// Build the dense matrix sequentially (the Section 9 baseline); used by
@@ -43,15 +42,26 @@ impl VertexApsp {
         let engine = SingleSourceEngine::new(obstacles);
         let vertices = engine.vertices().to_vec();
         let rows: Vec<Vec<Dist>> = vertices.iter().map(|&v| engine.distances_from(v)).collect();
-        Self::from_rows(vertices, rows)
+        Self::from_store(vertices, DistanceStore::dense(MinPlusMatrix::from_rows(rows)))
     }
 
     /// Build an *implicit* structure: no matrix is materialised; distance
     /// rows are generated on demand by the same single-source engine the
     /// dense builders fan out over, and cached under `budget_bytes`.
     pub fn build_implicit(obstacles: &ObstacleSet, budget_bytes: usize) -> Self {
-        let store = DistanceStore::implicit_sweep(obstacles, budget_bytes);
-        Self::from_store(obstacles.vertices(), store)
+        Self::build_with(Arc::new(obstacles.clone()), StoreKind::Implicit { budget_bytes }, None).0
+    }
+
+    /// Build over the distance store `kind` names, carrying rows from
+    /// `base` (see [`DistanceStore::build`]).
+    pub(crate) fn build_with(
+        obstacles: Arc<ObstacleSet>,
+        kind: StoreKind,
+        base: Option<&DeltaBase>,
+    ) -> (Self, RowCarry) {
+        let vertices = obstacles.vertices();
+        let (store, carry) = DistanceStore::build(obstacles, kind, base);
+        (Self::from_store(vertices, store), carry)
     }
 
     /// Wrap any [`DistanceStore`] whose row/column space is `vertices`.
@@ -62,11 +72,6 @@ impl VertexApsp {
             index_of.entry(p).or_insert(i);
         }
         VertexApsp { vertices, index_of, store }
-    }
-
-    fn from_rows(vertices: Vec<Point>, rows: Vec<Vec<Dist>>) -> Self {
-        let matrix = MinPlusMatrix::from_rows(rows);
-        Self::from_store(vertices, DistanceStore::dense(matrix))
     }
 
     /// The obstacle vertices, in matrix order.

@@ -55,12 +55,7 @@ impl BigPolygonStructure {
         container_vertices: usize,
         store: StoreKind,
     ) -> Self {
-        let oracle = match store.resolve(obstacles.len()) {
-            StoreKind::Implicit { budget_bytes } => {
-                PathLengthOracle::build_implicit_arc(Arc::new(obstacles.clone()), budget_bytes)
-            }
-            _ => PathLengthOracle::build(obstacles),
-        };
+        let oracle = PathLengthOracle::build_with(Arc::new(obstacles.clone()), store, None).0;
         let env = obstacles.bbox().unwrap_or(container);
         let mut k_points = Vec::new();
         for x in obstacles.xs() {

@@ -164,22 +164,6 @@ impl BlockCache {
         self.enforce_budget(key);
     }
 
-    /// Drop every resident block for which `keep` returns false.  Returns
-    /// how many blocks were dropped.  Invalidations are not evictions (the
-    /// blocks did not lose a budget race — they became wrong) so the
-    /// eviction counter is untouched.
-    pub fn invalidate_if(&mut self, mut keep: impl FnMut(u64, &[Dist]) -> bool) -> usize {
-        let doomed: Vec<u64> = self.blocks.iter().filter(|&(&k, b)| !keep(k, &b.data)).map(|(&k, _)| k).collect();
-        for k in &doomed {
-            let gone = self.blocks.remove(k).expect("doomed key was just observed");
-            self.resident_bytes = self.resident_bytes.saturating_sub(gone.bytes);
-            if gone.pins > 0 {
-                self.pinned_bytes = self.pinned_bytes.saturating_sub(gone.bytes);
-            }
-        }
-        doomed.len()
-    }
-
     /// Snapshot of every resident block (key, data), in unspecified order.
     /// Cheap: clones the `Arc`s, not the entries.  Does not touch LRU slots
     /// or counters — enumeration is not a request.
@@ -332,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn seed_and_invalidate_carry_blocks_without_counting_requests() {
+    fn seeded_blocks_carry_without_counting_requests() {
         let row_bytes = 4 * std::mem::size_of::<Dist>();
         let mut cache = BlockCache::new(8 * row_bytes);
         for k in 0..4u64 {
@@ -349,26 +333,6 @@ mod tests {
         let mut keys: Vec<u64> = cache.snapshot().into_iter().map(|(k, _)| k).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![0, 1, 2, 3]);
-        // Invalidate odd keys; stale blocks leave residency but are not
-        // "evictions".
-        let dropped = cache.invalidate_if(|k, _| k % 2 == 0);
-        assert_eq!(dropped, 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.resident_bytes(), 2 * row_bytes);
-        assert_eq!(cache.stats().evictions, 0);
-        assert!(cache.peek(1).is_none());
-    }
-
-    #[test]
-    fn invalidating_a_pinned_block_releases_its_pinned_bytes() {
-        let row_bytes = 4 * std::mem::size_of::<Dist>();
-        let mut cache = BlockCache::new(8 * row_bytes);
-        cache.seed(0, vec![0; 4].into());
-        cache.pin(0);
-        assert_eq!(cache.pinned_bytes(), row_bytes);
-        assert_eq!(cache.invalidate_if(|_, _| false), 1);
-        assert_eq!(cache.pinned_bytes(), 0);
-        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]

@@ -43,12 +43,13 @@ use rsp_monge::{is_monge, min_plus_parallel, MinPlusMatrix, SubmatrixView};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Maximum number of obstacles a region of the recursion solves directly
+/// (closed-form leaf distances): the paper's recursion bottom of one.
+const LEAF_OBSTACLES: usize = 1;
+
 /// Tuning knobs for the divide-and-conquer.
 #[derive(Clone, Debug)]
 pub struct DncOptions {
-    /// Maximum number of obstacles handled directly in a leaf (closed-form
-    /// distances; the default of 1 matches the paper's recursion bottom).
-    pub leaf_obstacles: usize,
     /// Use the Monge (SMAWK) product when the factors pass the Monge check.
     pub use_monge: bool,
     /// Recurse with `rayon::join` (the PRAM schedule); `false` forces the
@@ -58,7 +59,7 @@ pub struct DncOptions {
 
 impl Default for DncOptions {
     fn default() -> Self {
-        DncOptions { leaf_obstacles: 1, use_monge: true, parallel: true }
+        DncOptions { use_monge: true, parallel: true }
     }
 }
 
@@ -201,7 +202,7 @@ fn solve(
     Counters::max_update(&counters.max_depth, depth);
     let points = boundary_discretisation(&region, &obstacles);
     Counters::max_update(&counters.largest_boundary, points.len());
-    if obstacles.len() <= opts.leaf_obstacles {
+    if obstacles.len() <= LEAF_OBSTACLES {
         counters.leaves.fetch_add(1, Ordering::Relaxed);
         let dist = leaf_matrix(&obstacles, &points);
         return NodeResult::build(region, points, dist);

@@ -45,6 +45,10 @@ pub enum RspError {
     /// [`Router::apply_delta`](crate::router::Router::apply_delta) is
     /// malformed (removal out of range or duplicated).
     InvalidDelta(rsp_geom::DeltaError),
+    /// An obstacle corner or a query point lies outside the coordinate
+    /// domain `±`[`COORD_LIMIT`](rsp_geom::COORD_LIMIT) inside which path
+    /// lengths are exact; carries the offending point.
+    CoordinateOutOfRange(Point),
 }
 
 impl std::fmt::Display for RspError {
@@ -67,6 +71,9 @@ impl std::fmt::Display for RspError {
             }
             RspError::ThreadPool(msg) => write!(f, "failed to build the thread pool: {msg}"),
             RspError::InvalidDelta(e) => write!(f, "invalid scene delta: {e}"),
+            RspError::CoordinateOutOfRange(p) => {
+                write!(f, "point ({}, {}) lies outside the coordinate domain ±{}", p.x, p.y, rsp_geom::COORD_LIMIT)
+            }
         }
     }
 }

@@ -20,10 +20,11 @@
 //!   one-arbitrary-endpoint case (recursion depth at most two).
 
 use crate::apsp::VertexApsp;
+use crate::delta::DeltaBase;
+use crate::store::{RowCarry, StoreKind};
 use crate::trace::{escape_path, EscapeKind};
 use rsp_geom::rayshoot::ShootIndex;
-use rsp_geom::{Chain, Coord, Dir, Dist, ObstacleIndex, ObstacleSet, Point, Rect, StairRegion, INF};
-use std::collections::HashMap;
+use rsp_geom::{Carry, Chain, Coord, Dir, Dist, ObstacleIndex, ObstacleSet, Point, Rect, StairRegion, INF};
 use std::sync::Arc;
 
 /// Far-away sentinel used to extend clipped escape staircases back to
@@ -44,7 +45,6 @@ pub struct PathLengthOracle {
     /// `chains[k][v]` — escape staircase of vertex `v` into quadrant `k`
     /// (0 = NE, 1 = NW, 2 = SE, 3 = SW), extended to infinity.
     chains: [Vec<Chain>; 4],
-    vertex_id: HashMap<Point, usize>,
 }
 
 /// A borrowed escape staircase: up to three inline prefix points (the query
@@ -159,13 +159,15 @@ fn kind_for_quadrant(q: usize) -> EscapeKind {
     }
 }
 
-/// Substructure reuse accounting of a [`PathLengthOracle::from_apsp_delta`]
-/// build.
+/// What an oracle build carried from its base epoch and what it re-derived
+/// (all zero without a base).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleReuse {
+    /// Distance-row accounting of the store build.
+    pub rows: RowCarry,
     /// Escape staircases copied from the base epoch (of `4 · 4n` total).
     pub chains_reused: usize,
-    /// Escape staircases re-traced in the edited scene.
+    /// Escape staircases traced in this scene.
     pub chains_rebuilt: usize,
     /// Ray-shooting slab-column accounting across all five directional
     /// indexes (four shoot directions plus the top-edge locator).
@@ -202,85 +204,37 @@ fn extend_to_far(chain: &Chain, primary: Dir) -> Chain {
     Chain::new(pts)
 }
 
-/// Fill `out[i]` with the extended escape staircase of `vertices[i]`,
-/// splitting the range over [`rayon::join`] down to sequential chunks.
-fn fill_escape_chains(
-    obstacles: &ObstacleSet,
-    index: &ShootIndex,
-    region: &StairRegion,
-    vertices: &[Point],
-    kind: EscapeKind,
-    out: &mut [Chain],
-) {
-    const SEQ_CHUNK: usize = 32;
-    debug_assert_eq!(vertices.len(), out.len());
-    if vertices.len() <= SEQ_CHUNK {
-        for (slot, &v) in out.iter_mut().zip(vertices) {
-            *slot = extend_to_far(&escape_path(obstacles, index, region, v, kind), kind.primary);
-        }
-        return;
-    }
-    let mid = vertices.len() / 2;
-    let (lo, hi) = out.split_at_mut(mid);
-    rayon::join(
-        || fill_escape_chains(obstacles, index, region, &vertices[..mid], kind, lo),
-        || fill_escape_chains(obstacles, index, region, &vertices[mid..], kind, hi),
-    );
-}
-
 impl PathLengthOracle {
-    /// Build the oracle: the vertex matrix, the obstacle index and the
-    /// `4 · 4n` precomputed escape staircases of Section 6.1.  Copies the
-    /// obstacle set; callers that already hold an `Arc` (the `Router`) use
-    /// [`PathLengthOracle::build_arc`] to skip the copy.
+    /// Build the oracle over a dense store: the vertex matrix, the obstacle
+    /// index and the `4 · 4n` precomputed escape staircases of Section 6.1.
     pub fn build(obstacles: &ObstacleSet) -> Self {
-        Self::build_arc(Arc::new(obstacles.clone()))
+        Self::build_with(Arc::new(obstacles.clone()), StoreKind::Dense, None).0
     }
 
-    /// Build from a shared obstacle set without copying it.
-    pub fn build_arc(obstacles: Arc<ObstacleSet>) -> Self {
-        let apsp = VertexApsp::build(&obstacles);
-        Self::from_apsp(obstacles, apsp)
+    /// Build the oracle over the distance store `kind` names, carrying from
+    /// `base` every distance row, escape staircase and slab column the edit
+    /// provably cannot affect (see [`DistanceStore::build`](crate::store::DistanceStore::build)
+    /// and [`PathLengthOracle::from_apsp_with`]).
+    pub(crate) fn build_with(
+        obstacles: Arc<ObstacleSet>,
+        kind: StoreKind,
+        base: Option<&DeltaBase>,
+    ) -> (Self, OracleReuse) {
+        let (apsp, rows) = VertexApsp::build_with(Arc::clone(&obstacles), kind, base);
+        let (oracle, reuse) = Self::from_apsp_with(obstacles, apsp, base);
+        (oracle, OracleReuse { rows, ..reuse })
     }
 
-    /// Build with an *implicit* distance store: no `O(n^2)` vertex matrix is
-    /// materialised; distance rows are generated on demand and cached under
-    /// `budget_bytes` (see [`VertexApsp::build_implicit`]).  Queries answer
-    /// bitwise-identically to the dense constructors.
-    pub fn build_implicit_arc(obstacles: Arc<ObstacleSet>, budget_bytes: usize) -> Self {
-        let apsp = VertexApsp::build_implicit(&obstacles, budget_bytes);
-        Self::from_apsp(obstacles, apsp)
-    }
-
-    /// Build from an existing vertex matrix and a shared obstacle set.  The
-    /// four escape-staircase families are built concurrently over
-    /// [`rayon::join`] splits (pairs of quadrants, then vertex-range halves).
+    /// Build from an existing vertex matrix and a shared obstacle set.
     pub fn from_apsp(obstacles: Arc<ObstacleSet>, apsp: VertexApsp) -> Self {
-        let index = ObstacleIndex::build(&obstacles);
-        let bbox = obstacles.bbox().unwrap_or(Rect::new(0, 0, 1, 1)).expand(8);
-        let region = StairRegion::from_rect(bbox);
-        let vertices = apsp.vertices().to_vec();
-        let build_chains = |kind: EscapeKind| -> Vec<Chain> {
-            let mut out = vec![Chain::singleton(Point::new(0, 0)); vertices.len()];
-            fill_escape_chains(&obstacles, index.shoot_index(), &region, &vertices, kind, &mut out);
-            out
-        };
-        let ((ne, nw), (se, sw)) = rayon::join(
-            || rayon::join(|| build_chains(EscapeKind::NE), || build_chains(EscapeKind::NW)),
-            || rayon::join(|| build_chains(EscapeKind::SE), || build_chains(EscapeKind::SW)),
-        );
-        let chains = [ne, nw, se, sw];
-        let mut vertex_id = HashMap::with_capacity(vertices.len());
-        for (i, &p) in vertices.iter().enumerate() {
-            vertex_id.entry(p).or_insert(i);
-        }
-        PathLengthOracle { obstacles, apsp, vertex_id, index, chains }
+        Self::from_apsp_with(obstacles, apsp, None).0
     }
 
-    /// Build for an *edited* scene, reusing from `old` (the base epoch's
-    /// oracle) every escape staircase and ray-shooting slab column the edit
-    /// provably cannot affect.  The result answers every query identically
-    /// to [`PathLengthOracle::from_apsp`] over the same `obstacles`/`apsp`.
+    /// Build the obstacle index and the escape staircases around `apsp`,
+    /// copying from `base` every staircase and slab column the edit provably
+    /// cannot affect.  The oracle answers every query the same with or
+    /// without a base.  The four staircase families are built concurrently
+    /// over [`rayon::join`], each fanning out over its vertices.
     ///
     /// Chain reuse soundness: every shot, slide and exit segment of
     /// [`escape_path`] lies *on* the resulting chain.  If no edited closed
@@ -289,40 +243,38 @@ impl PathLengthOracle {
     /// boundary, which the chain touches; (b) no inserted rectangle can
     /// intercept a shot earlier than its old hit — the interception point
     /// would lie on both the segment (hence the chain) and the rectangle's
-    /// boundary.  So the walk replays identically in the new scene.  The
-    /// test additionally requires the obstacle bounding box to be unchanged
-    /// (the clip region derives from it) and the vertex to survive the
-    /// compaction; everything else is recomputed fresh.
-    pub fn from_apsp_delta(
-        obstacles: Arc<ObstacleSet>,
-        apsp: VertexApsp,
-        old: &PathLengthOracle,
-        old_to_new_rect: &[Option<usize>],
-        new_to_old_vertex: &[Option<usize>],
-        edited: &[Rect],
-    ) -> (Self, OracleReuse) {
+    /// boundary.  So the walk replays identically in the new scene.  A chain
+    /// additionally carries only if the obstacle bounding box is unchanged
+    /// (the clip region derives from it) and its vertex survived the
+    /// compaction.
+    fn from_apsp_with(obstacles: Arc<ObstacleSet>, apsp: VertexApsp, base: Option<&DeltaBase>) -> (Self, OracleReuse) {
         use rayon::prelude::*;
-        let (index, slab_columns) = ObstacleIndex::build_delta(&obstacles, &old.index, edited, old_to_new_rect);
+        let index_base =
+            base.map(|b| Carry { old: &b.oracle.index, old_to_new: &b.old_to_new_rect, edited: &b.edited });
+        let (index, slab_columns) = ObstacleIndex::build_with(&obstacles, index_base);
         let bbox = obstacles.bbox().unwrap_or(Rect::new(0, 0, 1, 1)).expand(8);
-        let bbox_unchanged = old.obstacles.bbox().map(|b| b.expand(8)) == Some(bbox);
+        let chain_base = base.filter(|b| b.oracle.obstacles.bbox().map(|b| b.expand(8)) == Some(bbox));
         let region = StairRegion::from_rect(bbox);
-        let vertices = apsp.vertices().to_vec();
+        let vertices = apsp.vertices();
         let shoot = index.shoot_index();
         let build_chains = |quad: usize| -> (Vec<Chain>, usize) {
             let kind = kind_for_quadrant(quad);
             let built: Vec<(Chain, bool)> = (0..vertices.len())
                 .into_par_iter()
                 .map(|i| {
-                    if bbox_unchanged {
-                        if let Some(oi) = new_to_old_vertex[i] {
-                            let chain = &old.chains[quad][oi];
-                            debug_assert_eq!(old.apsp.vertices()[oi], vertices[i]);
-                            if !edited.iter().any(|r| chain_touches_rect(chain, r)) {
-                                return (chain.clone(), true);
-                            }
+                    let carried = chain_base.and_then(|b| {
+                        let oi = b.new_to_old_vertex[i]?;
+                        debug_assert_eq!(b.oracle.apsp.vertices()[oi], vertices[i]);
+                        let old = &b.oracle.chains[quad][oi];
+                        (!b.edited.iter().any(|r| chain_touches_rect(old, r))).then_some(old)
+                    });
+                    match carried {
+                        Some(chain) => (chain.clone(), true),
+                        None => {
+                            let path = escape_path(&obstacles, shoot, &region, vertices[i], kind);
+                            (extend_to_far(&path, kind.primary), false)
                         }
                     }
-                    (extend_to_far(&escape_path(&obstacles, shoot, &region, vertices[i], kind), kind.primary), false)
                 })
                 .collect();
             let reused = built.iter().filter(|&&(_, r)| r).count();
@@ -332,15 +284,10 @@ impl PathLengthOracle {
             || rayon::join(|| build_chains(0), || build_chains(1)),
             || rayon::join(|| build_chains(2), || build_chains(3)),
         );
-        let chains = [ne, nw, se, sw];
         let chains_reused = r0 + r1 + r2 + r3;
         let chains_rebuilt = 4 * vertices.len() - chains_reused;
-        let mut vertex_id = HashMap::with_capacity(vertices.len());
-        for (i, &p) in vertices.iter().enumerate() {
-            vertex_id.entry(p).or_insert(i);
-        }
-        let oracle = PathLengthOracle { obstacles, apsp, vertex_id, index, chains };
-        (oracle, OracleReuse { chains_reused, chains_rebuilt, slab_columns })
+        let reuse = OracleReuse { rows: RowCarry::default(), chains_reused, chains_rebuilt, slab_columns };
+        (PathLengthOracle { obstacles, apsp, index, chains: [ne, nw, se, sw] }, reuse)
     }
 
     /// The underlying vertex matrix.
@@ -410,11 +357,7 @@ impl PathLengthOracle {
     /// O(1) query for two obstacle vertices.  `None` if either point is not
     /// an obstacle vertex.
     pub fn vertex_distance(&self, a: Point, b: Point) -> Option<Dist> {
-        if self.vertex_id.contains_key(&a) && self.vertex_id.contains_key(&b) {
-            Some(self.apsp.distance_between(a, b))
-        } else {
-            None
-        }
+        Some(self.apsp.distance(self.apsp.vertex_index(a)?, self.apsp.vertex_index(b)?))
     }
 
     /// Length of a shortest obstacle-avoiding path between two arbitrary
@@ -433,13 +376,13 @@ impl PathLengthOracle {
         if p == q {
             return 0;
         }
-        if let Some(&qi) = self.vertex_id.get(&q) {
-            if self.vertex_id.contains_key(&p) {
-                return self.apsp.distance_between(p, q);
+        if let Some(qi) = self.apsp.vertex_index(q) {
+            if let Some(pi) = self.apsp.vertex_index(p) {
+                return self.apsp.distance(pi, qi);
             }
             return self.distance_to_vertex(p, qi);
         }
-        if let Some(&pi) = self.vertex_id.get(&p) {
+        if let Some(pi) = self.apsp.vertex_index(p) {
             return self.distance_to_vertex(q, pi);
         }
         // both arbitrary: view q's escape staircase on the fly (borrowed, no

@@ -19,10 +19,14 @@
 //!   the same oracle;
 //! * the boundary-to-boundary matrix `D_Q` of Section 5.
 //!
-//! Each store has one construction path, and it is the same at every thread
-//! count: the dense store fans the Section 9 single-source sweep out over
-//! all `4n` sources, the implicit store runs it lazily per missed row, and a
-//! delta build carries what an edit cannot affect and re-sweeps the rest.
+//! The oracle has one construction path, and it is the same at every thread
+//! count and for every epoch: [`PathLengthOracle`]'s builder takes the
+//! resolved store kind and an optional base — the parent epoch's oracle
+//! plus the edit, which [`Router::apply_delta`] defers until the first
+//! query — and treats "no base" as the fresh build.  The dense store fans
+//! the Section 9 single-source sweep out over every source it cannot carry
+//! (all `4n` without a base), the implicit store runs it lazily per missed
+//! row, and whatever the edit provably cannot affect is carried.
 //! `threads(p)` only sizes the pool those sweeps (and the `D_Q`
 //! divide-and-conquer) run on, so answers are bitwise-identical for every
 //! `p` (`tests/determinism.rs`).
@@ -45,20 +49,19 @@
 //! # Ok::<(), rsp_core::error::RspError>(())
 //! ```
 
-use crate::apsp::VertexApsp;
 use crate::delta::DeltaBase;
 use crate::dnc::{build_boundary_matrix, BoundaryMatrix, DncOptions};
 use crate::error::RspError;
 use crate::instance::Instance;
-use crate::query::PathLengthOracle;
+use crate::query::{OracleReuse, PathLengthOracle};
 use crate::separator::{find_separator_unbounded, Separator};
 use crate::sptree::ShortestPathTrees;
-use crate::store::{dense_bytes_for, DistanceStore, RowCarry, StoreKind, StoreStats};
+use crate::store::{dense_bytes_for, StoreKind, StoreStats};
 use crate::trace::{escape_path, EscapeKind};
 use crate::tree::RecursionTree;
 use rayon::prelude::*;
 use rsp_geom::rayshoot::ShootIndex;
-use rsp_geom::{Chain, Coord, Dist, ObstacleSet, Point, Rect, RectiPath, SceneDelta};
+use rsp_geom::{Chain, Coord, Dist, ObstacleSet, Point, Rect, RectiPath, SceneDelta, COORD_LIMIT};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -98,12 +101,17 @@ struct BuildCounters {
     oracle: AtomicUsize,
     trees: AtomicUsize,
     boundary: AtomicUsize,
-    rows_reused: AtomicUsize,
-    rows_rebuilt: AtomicUsize,
-    chains_reused: AtomicUsize,
-    chains_rebuilt: AtomicUsize,
-    slab_reused: AtomicUsize,
-    slab_rebuilt: AtomicUsize,
+    /// What the oracle build carried from its base epoch (zero without one).
+    reuse: OnceLock<OracleReuse>,
+}
+
+/// Fail with [`RspError::CoordinateOutOfRange`] on the first rectangle
+/// corner outside `±`[`COORD_LIMIT`].
+fn check_domain(rects: &[Rect]) -> Result<(), RspError> {
+    match rects.iter().flat_map(|r| [r.ll(), r.ur()]).find(|p| !p.in_domain()) {
+        Some(p) => Err(RspError::CoordinateOutOfRange(p)),
+        None => Ok(()),
+    }
 }
 
 /// Configures and validates a [`Router`].  Created by [`Router::builder`].
@@ -133,24 +141,27 @@ impl RouterBuilder {
     }
 
     /// Margin by which the instance container extends beyond the obstacle
-    /// bounding box (default 2).  Affects the container boundary that
-    /// [`Router::boundary_matrix`] discretises.
+    /// bounding box (default 2, clamped to `1..=`[`COORD_LIMIT`]).  Affects
+    /// the container boundary that [`Router::boundary_matrix`] discretises.
     pub fn margin(mut self, margin: Coord) -> Self {
-        self.margin = margin.max(1);
+        self.margin = margin.clamp(1, COORD_LIMIT);
         self
     }
 
     /// Validate the input and assemble the router.  Fails with
     /// [`RspError::DegenerateObstacle`] for a zero-width or zero-height
-    /// obstacle and [`RspError::OverlappingObstacles`] (naming the offending
-    /// pair) when two obstacles overlap; no substructure is built yet — each
-    /// is constructed lazily on first use.
+    /// obstacle, [`RspError::CoordinateOutOfRange`] for a corner outside
+    /// `±`[`COORD_LIMIT`] and [`RspError::OverlappingObstacles`] (naming the
+    /// offending pair) when two obstacles overlap; no substructure is built
+    /// yet — each is constructed lazily on first use.
     pub fn build(self) -> Result<Router, RspError> {
-        // `Instance::validate` checks this too, but an inverted rectangle
-        // must not reach `with_margin`, whose bbox expansion asserts.
+        // `Instance::validate` checks degeneracy too, but neither an inverted
+        // nor an out-of-domain rectangle may reach `with_margin`, whose bbox
+        // expansion asserts (and overflows near `i64::MAX`).
         if let Some(i) = self.obstacles.iter().position(Rect::is_degenerate) {
             return Err(RspError::DegenerateObstacle(i));
         }
+        check_domain(self.obstacles.rects())?;
         let store = self.store.resolve(self.obstacles.len());
         let instance = Instance::with_margin(self.obstacles, self.margin);
         instance.validate()?;
@@ -251,14 +262,15 @@ impl Router {
     /// `*_reused`/`*_rebuilt` split once the new oracle is built.
     ///
     /// Validation is *incremental*: removals are range/duplicate-checked and
-    /// each inserted rectangle is checked for degeneracy and against the
-    /// whole edited scene (`O(k · n)` instead of the builder's `O(n^2)` full
-    /// scan).
+    /// each inserted rectangle is checked for degeneracy, against the
+    /// coordinate domain and against the whole edited scene (`O(k · n)`
+    /// instead of the builder's `O(n^2)` full scan).
     pub fn apply_delta(&self, delta: &SceneDelta) -> Result<Router, RspError> {
         let applied = self.instance.obstacles().apply_delta(delta)?;
         if let Some(k) = delta.insert.iter().position(Rect::is_degenerate) {
             return Err(RspError::DegenerateObstacle(applied.first_inserted + k));
         }
+        check_domain(&delta.insert)?;
         applied.validate_disjoint_incremental()?;
         // Only an already-built oracle is worth carrying; otherwise the new
         // session builds from scratch lazily like any other.
@@ -306,17 +318,18 @@ impl Router {
     /// builds a substructure more than once; tests assert this stays at 0/1
     /// per structure no matter how many queries ran.
     pub fn build_counts(&self) -> BuildCounts {
+        let reuse = self.counts.reuse.get().copied().unwrap_or_default();
         BuildCounts {
             oracle_builds: self.counts.oracle.load(Ordering::Relaxed),
             tree_builds: self.counts.trees.load(Ordering::Relaxed),
             boundary_builds: self.counts.boundary.load(Ordering::Relaxed),
             store_resident_bytes: self.oracle.get().map_or(0, |o| o.apsp().store_stats().resident_bytes),
-            rows_reused: self.counts.rows_reused.load(Ordering::Relaxed),
-            rows_rebuilt: self.counts.rows_rebuilt.load(Ordering::Relaxed),
-            chains_reused: self.counts.chains_reused.load(Ordering::Relaxed),
-            chains_rebuilt: self.counts.chains_rebuilt.load(Ordering::Relaxed),
-            slab_columns_reused: self.counts.slab_reused.load(Ordering::Relaxed),
-            slab_columns_rebuilt: self.counts.slab_rebuilt.load(Ordering::Relaxed),
+            rows_reused: reuse.rows.rows_carried,
+            rows_rebuilt: reuse.rows.rows_dropped + reuse.rows.corner_sweeps,
+            chains_reused: reuse.chains_reused,
+            chains_rebuilt: reuse.chains_rebuilt,
+            slab_columns_reused: reuse.slab_columns.reused,
+            slab_columns_rebuilt: reuse.slab_columns.rebuilt,
         }
     }
 
@@ -340,76 +353,23 @@ impl Router {
     fn oracle_handle(&self) -> &Arc<PathLengthOracle> {
         self.oracle.get_or_init(|| {
             self.counts.oracle.fetch_add(1, Ordering::Relaxed);
-            // Consume (and thereby release) the deferred delta input; a
-            // panic-free fresh build remains available if there is none.
+            // Consume (and thereby release) the deferred delta input.
             let base = self.delta.lock().unwrap_or_else(|p| p.into_inner()).take();
-            let obstacles = self.instance.obstacles();
-            let oracle = self.in_pool(|| match base {
-                Some(base) => self.build_oracle_delta(obstacles, base),
-                None => PathLengthOracle::from_apsp(self.instance.obstacles_arc(), self.build_apsp_fresh(obstacles)),
-            });
-            Arc::new(oracle)
+            Arc::new(self.in_pool(|| self.build_oracle(base)))
         })
     }
 
-    /// The from-scratch all-pairs build for this router's store: lazy
-    /// sweeps for the implicit store, the `4n`-source fan-out for the dense
-    /// one (`Auto` was resolved to a concrete kind at build time).
-    fn build_apsp_fresh(&self, obstacles: &ObstacleSet) -> VertexApsp {
-        match self.store {
-            StoreKind::Implicit { budget_bytes } => VertexApsp::build_implicit(obstacles, budget_bytes),
-            StoreKind::Dense | StoreKind::Auto => VertexApsp::build(obstacles),
+    /// Build this epoch's oracle over the resolved store, carrying from
+    /// `base` (the parent epoch's oracle and the edit) every distance row,
+    /// escape staircase and slab column the edit provably cannot affect.
+    /// The result is bitwise-identical to a build without a base because
+    /// every carried artifact is *canonical*: rows hold true shortest-path
+    /// lengths and chains/slabs are pure functions of the surviving geometry.
+    fn build_oracle(&self, base: Option<DeltaBase>) -> PathLengthOracle {
+        let (oracle, reuse) = PathLengthOracle::build_with(self.instance.obstacles_arc(), self.store, base.as_ref());
+        if base.is_some() {
+            let _ = self.counts.reuse.set(reuse);
         }
-    }
-
-    /// Build this epoch's oracle out of the base epoch's, carrying every
-    /// distance row, escape staircase and slab column the edit provably
-    /// cannot affect and re-deriving the rest.  The result is
-    /// bitwise-identical to a fresh build because every carried artifact is
-    /// *canonical*: rows hold true shortest-path lengths and chains/slabs are
-    /// pure functions of the surviving geometry.
-    fn build_oracle_delta(&self, obstacles: &ObstacleSet, base: DeltaBase) -> PathLengthOracle {
-        let old_store = base.oracle.apsp().store();
-        let (apsp, carry) = match self.store {
-            StoreKind::Implicit { budget_bytes } => match old_store.as_implicit() {
-                Some(old) => {
-                    let (store, carry) = DistanceStore::implicit_delta(
-                        obstacles,
-                        budget_bytes,
-                        old,
-                        &base.old_to_new_vertex,
-                        &base.new_to_old_vertex,
-                        &base.edited,
-                    );
-                    (VertexApsp::from_store(obstacles.vertices(), store), carry)
-                }
-                // Store-kind mismatch with the base session (can only happen
-                // through future re-configuration): nothing to carry.
-                None => (self.build_apsp_fresh(obstacles), RowCarry::default()),
-            },
-            StoreKind::Dense | StoreKind::Auto => match old_store.as_dense() {
-                Some(old) => {
-                    let (store, carry) =
-                        DistanceStore::dense_delta(obstacles, old, &base.new_to_old_vertex, &base.edited);
-                    (VertexApsp::from_store(obstacles.vertices(), store), carry)
-                }
-                None => (self.build_apsp_fresh(obstacles), RowCarry::default()),
-            },
-        };
-        self.counts.rows_reused.fetch_add(carry.rows_carried, Ordering::Relaxed);
-        self.counts.rows_rebuilt.fetch_add(carry.rows_dropped + carry.corner_sweeps, Ordering::Relaxed);
-        let (oracle, reuse) = PathLengthOracle::from_apsp_delta(
-            self.instance.obstacles_arc(),
-            apsp,
-            &base.oracle,
-            &base.old_to_new_rect,
-            &base.new_to_old_vertex,
-            &base.edited,
-        );
-        self.counts.chains_reused.fetch_add(reuse.chains_reused, Ordering::Relaxed);
-        self.counts.chains_rebuilt.fetch_add(reuse.chains_rebuilt, Ordering::Relaxed);
-        self.counts.slab_reused.fetch_add(reuse.slab_columns.reused, Ordering::Relaxed);
-        self.counts.slab_rebuilt.fetch_add(reuse.slab_columns.rebuilt, Ordering::Relaxed);
         oracle
     }
 
@@ -418,12 +378,16 @@ impl Router {
             .get_or_init(|| RwLock::new(ShortestPathTrees::from_oracle(Arc::clone(self.oracle_handle()), Some(&[]))))
     }
 
-    /// Fail with [`RspError::PointInsideObstacle`] when `p` is strictly
-    /// inside an obstacle.  On the query hot path the oracle's
+    /// Fail with [`RspError::CoordinateOutOfRange`] when `p` lies outside
+    /// the coordinate domain and [`RspError::PointInsideObstacle`] when it is
+    /// strictly inside an obstacle.  On the query hot path the oracle's
     /// [`ObstacleIndex`](rsp_geom::ObstacleIndex) answers in `O(log n)`;
     /// cold callers (`escape`) fall back to the `O(n)` scan rather than
     /// force the oracle build.
     fn check_point(&self, p: Point) -> Result<(), RspError> {
+        if !p.in_domain() {
+            return Err(RspError::CoordinateOutOfRange(p));
+        }
         let containing = match self.oracle.get() {
             Some(oracle) => oracle.obstacle_index().containing_obstacle(p),
             None => self.instance.obstacles().containing_obstacle(p),
@@ -1031,6 +995,12 @@ mod tests {
             remove: vec![],
         };
         assert_eq!(parent.apply_delta(&flat).err(), Some(RspError::DegenerateObstacle(4)));
+        // An insert outside the coordinate domain is named by its corner.
+        let far = Rect::new(COORD_LIMIT, 0, COORD_LIMIT + 4, 4);
+        assert_eq!(
+            parent.apply_delta(&SceneDelta::inserting(vec![far])).err(),
+            Some(RspError::CoordinateOutOfRange(Point::new(COORD_LIMIT + 4, 4)))
+        );
         // Inserted rectangle overlapping a survivor.
         let overlap = SceneDelta { insert: vec![Rect::new(3, 3, 5, 5)], remove: vec![] };
         assert!(matches!(parent.apply_delta(&overlap), Err(RspError::OverlappingObstacles(_))));

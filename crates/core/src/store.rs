@@ -14,6 +14,11 @@
 //! much as its row, and caching the row makes the follow-up queries of a
 //! scan free.
 //!
+//! Both backends come out of one constructor, `DistanceStore::build`,
+//! which also carries rows across a scene edit: given a base (the parent
+//! epoch's store and the edit) it keeps every row the edit provably cannot
+//! change; without one it is the fresh build.
+//!
 //! **Bitwise equality is by construction**: both backends obtain row `i` by
 //! calling the *same* per-source routine on the *same* source vertex, so an
 //! implicit store returns bit-for-bit the numbers the dense matrix holds —
@@ -23,6 +28,7 @@
 //! the scattered vertex set `V_R`, so there is no SMAWK shortcut to take.)
 
 use crate::block_cache::BlockCache;
+use crate::delta::DeltaBase;
 use crate::seq::SingleSourceEngine;
 use rsp_geom::{Dist, ObstacleSet};
 use rsp_monge::MinPlusMatrix;
@@ -116,10 +122,10 @@ pub struct StoreStats {
 /// The engine's skeleton (the four case-transformed ray-shooting views) only
 /// matters on a row miss, and its build is the dominant fixed cost of an
 /// implicit store at large `n`.  Deferring it keeps a fresh store's
-/// construction O(1), and — the case it exists for — lets a delta-carried
-/// store ([`DistanceStore::implicit_delta`]) whose first batch is answered
-/// entirely from carried rows skip the skeleton build outright, which is
-/// what makes edit→first-query genuinely sublinear.  Values are unaffected:
+/// construction O(1), and — the case it exists for — lets a store carried
+/// over an edit ([`DistanceStore::build`] with a base) whose first batch is
+/// answered entirely from carried rows skip the skeleton build outright,
+/// which is what makes edit→first-query genuinely sublinear.  Values are unaffected:
 /// whenever a sweep does run, it runs the same routine on the same scene.
 struct LazyProvider {
     obstacles: Arc<ObstacleSet>,
@@ -318,16 +324,16 @@ impl Drop for PinnedRows<'_> {
     }
 }
 
-/// Accounting of a delta-carried implicit store build
-/// ([`DistanceStore::implicit_delta`]).
+/// Row accounting of a [`DistanceStore`] build over a base epoch's store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RowCarry {
-    /// Resident rows carried over from the previous epoch's cache (keep-test
-    /// passed; entries bitwise-identical to a fresh sweep).
+    /// Base rows carried over (keep-test passed; entries bitwise-identical
+    /// to a fresh sweep) and still resident once the build finished.
     pub rows_carried: usize,
-    /// Resident rows the keep-test invalidated (re-swept lazily on demand).
+    /// Base rows with a surviving source that were not carried: keep-test
+    /// failures, plus carried rows a tight implicit budget evicted at once.
     pub rows_dropped: usize,
-    /// Fresh sweeps run for inserted-corner sources during the carry.
+    /// Fresh sweeps run for inserted-corner sources.
     pub corner_sweeps: usize,
 }
 
@@ -351,185 +357,133 @@ impl DistanceStore {
         DistanceStore::Dense(matrix)
     }
 
-    /// An implicit store over the Section 9 single-source engine.
-    pub fn implicit_sweep(obstacles: &ObstacleSet, budget_bytes: usize) -> Self {
-        let dim = obstacles.vertices().len();
-        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()));
-        DistanceStore::Implicit(Box::new(ImplicitStore::new(provider, dim, budget_bytes)))
-    }
-
-    /// An implicit store for an *edited* scene that carries over every
-    /// resident row of the previous epoch's store that the edit provably
-    /// cannot change.
+    /// Build the store `kind` names for `obstacles` ([`StoreKind::Auto`] is
+    /// resolved by scene size here, and only here), carrying from `base`
+    /// every row of the base epoch's store the edit provably cannot change.
+    /// Without a base this is the fresh build: a dense store sweeps all `4n`
+    /// sources, an implicit one sweeps nothing until a row is asked for.
     ///
-    /// Soundness of the keep-test: engine rows hold *true* shortest-path
-    /// distances, so for an inserted or removed rectangle `R` the distance
-    /// `d(u, v)` can only change if some optimal (or newly optimal) path
-    /// passes through `int(R)` — and any path through `int(R)` has length
-    /// `> l1(u, R) + l1(v, R)` (the nearest points of a closed rectangle to
-    /// a non-interior point lie on its boundary).  Hence
-    /// `l1(u, R) + l1(v, R) >= d_old(u, v)` certifies `d_new == d_old`; the
-    /// test composes over multi-rectangle deltas by induction, and `INF`
-    /// entries conservatively fail it.  Columns of inserted vertices are
-    /// filled exactly from fresh corner-source sweeps via metric symmetry
-    /// (`row_u[j_new] = row_{j_new}[u]`).  A row failing the test for *any*
-    /// surviving column is dropped whole ([`BlockCache::invalidate_if`]) and
-    /// re-swept lazily if requested again.
+    /// One body serves both backends, with or without a base:
     ///
-    /// `old_to_new` / `new_to_old` map **vertex** indices across the id
-    /// compaction (`None` = removed / inserted); `edited` holds the
-    /// geometries of all inserted and removed rectangles.
-    pub fn implicit_delta(
-        obstacles: &ObstacleSet,
-        budget_bytes: usize,
-        old: &ImplicitStore,
-        old_to_new: &[Option<usize>],
-        new_to_old: &[Option<usize>],
-        edited: &[rsp_geom::Rect],
-    ) -> (Self, RowCarry) {
+    /// 1. **Keep-test**, on the base store's own rows (all of a dense base,
+    ///    the resident ones of an implicit base) before anything is copied.
+    ///    Engine rows hold *true* shortest-path distances, so for an
+    ///    inserted or removed rectangle `R` the distance `d(u, v)` can only
+    ///    change if some optimal (or newly optimal) path passes through
+    ///    `int(R)` — and any such path is longer than
+    ///    `l1(u, R) + l1(v, R)` (the nearest points of a closed rectangle to
+    ///    a non-interior point lie on its boundary).  Hence
+    ///    `l1(u, R) + l1(v, R) >= d_old(u, v)` certifies `d_new == d_old`;
+    ///    the test composes over multi-rectangle edits by induction, and
+    ///    `INF` entries conservatively fail it.  A row failing it for any
+    ///    surviving column is not carried.
+    /// 2. **Sweeps.**  A dense store sweeps every row it does not carry; an
+    ///    implicit store sweeps only the inserted corners, and only when a
+    ///    carried row needs their columns — everything else it sweeps lazily
+    ///    on demand.
+    /// 3. **Column fill.**  A carried row is remapped across the id
+    ///    compaction, and its inserted columns are filled exactly from the
+    ///    inserted corners' fresh rows by metric symmetry
+    ///    (`row_u[j_new] = row_{j_new}[u]`).
+    ///
+    /// The dense matrix takes the swept rows by move; the implicit cache is
+    /// seeded with the carried and corner rows.
+    pub(crate) fn build(obstacles: Arc<ObstacleSet>, kind: StoreKind, base: Option<&DeltaBase>) -> (Self, RowCarry) {
         use rayon::prelude::*;
+        let kind = kind.resolve(obstacles.len());
         let vertices = obstacles.vertices();
         let dim = vertices.len();
-        // Deferred on purpose: for an edit whose keep-test carries the whole
-        // resident set (and that inserts nothing), the skeleton build never
-        // runs at all — the child store is ready in O(carried rows).
-        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()));
-        let store = ImplicitStore::new(provider, dim, budget_bytes);
-        // Candidate rows: resident in the old cache with a surviving source.
-        let mut candidates: Vec<(usize, Arc<[Dist]>)> = old
-            .cache
-            .lock()
-            .expect("distance row cache poisoned")
-            .snapshot()
-            .into_iter()
-            .filter_map(|(k, row)| {
-                let new_i = (*old_to_new.get(k as usize)?)?;
-                Some((new_i, row))
-            })
-            .collect();
-        if candidates.is_empty() || dim == 0 {
-            return (DistanceStore::Implicit(Box::new(store)), RowCarry::default());
-        }
-        candidates.sort_by_key(|&(new_i, _)| new_i);
-        // Exact rows for the inserted corners, swept in the new scene; they
-        // both seed the cache and fill the inserted columns of carried rows.
-        let inserted: Vec<usize> = (0..dim).filter(|&j| new_to_old[j].is_none()).collect();
-        let corner_rows: Vec<(usize, Vec<Dist>)> = if inserted.is_empty() {
-            Vec::new()
-        } else {
-            store.provider.force();
-            inserted.par_iter().map(|&j| (j, store.provider.row(j))).collect()
-        };
-        let corner_of: HashMap<usize, &[Dist]> = corner_rows.iter().map(|&(j, ref r)| (j, &r[..])).collect();
-        let remapped: Vec<(usize, Vec<Dist>)> = candidates
-            .par_iter()
-            .map(|&(new_i, ref old_row)| {
-                let row = (0..dim)
-                    .map(|j| match new_to_old[j] {
-                        Some(old_j) => old_row[old_j],
-                        None => corner_of[&j][new_i],
+        // Vertex maps across the edit; without a base every vertex is new.
+        let new_to_old: &[Option<usize>] = base.map_or(&[], |b| &b.new_to_old_vertex);
+        let is_new = |j: usize| new_to_old.get(j).copied().flatten().is_none();
+        // Deferred: a store whose needed rows all carry over never builds the
+        // skeleton at all.
+        let provider = LazyProvider::deferred(obstacles);
+        let resident;
+        let mut candidates = 0;
+        let kept: Vec<(usize, &[Dist])> = match base {
+            None => Vec::new(),
+            Some(base) => {
+                let old_rows: Vec<(usize, &[Dist])> = match base.oracle.apsp().store() {
+                    DistanceStore::Dense(m) => (0..m.rows()).map(|i| (i, m.row(i))).collect(),
+                    DistanceStore::Implicit(s) => {
+                        resident = s.cache.lock().expect("distance row cache poisoned").snapshot();
+                        resident.iter().map(|(k, row)| (*k as usize, &row[..])).collect()
+                    }
+                };
+                let mut survivors: Vec<(usize, &[Dist])> =
+                    old_rows.into_iter().filter_map(|(k, row)| Some((base.old_to_new_vertex[k]?, row))).collect();
+                survivors.sort_unstable_by_key(|&(i, _)| i);
+                candidates = survivors.len();
+                // Per-edited-rect vertex gaps, shared by every row's keep-test.
+                let gaps: Vec<Vec<Dist>> =
+                    base.edited.iter().map(|r| vertices.iter().map(|&v| r.l1_distance_to(v)).collect()).collect();
+                let keep: Vec<bool> = survivors
+                    .par_iter()
+                    .map(|&(i, old_row)| {
+                        gaps.iter().all(|gap| {
+                            (0..dim)
+                                .all(|j| new_to_old[j].is_none_or(|oj| gap[i].saturating_add(gap[j]) >= old_row[oj]))
+                        })
                     })
                     .collect();
-                (new_i, row)
-            })
-            .collect();
-        // Per-edited-rect vertex gaps, shared by every row's keep-test.
-        let gaps: Vec<Vec<Dist>> =
-            edited.iter().map(|r| vertices.iter().map(|&v| r.l1_distance_to(v)).collect()).collect();
-        let carried: std::collections::HashSet<u64> = remapped.iter().map(|&(i, _)| i as u64).collect();
-        let candidate_count = carried.len();
-        let mut cache = store.cache.lock().expect("distance row cache poisoned");
-        for (i, row) in remapped {
-            cache.seed(i as u64, row.into());
-        }
-        let corner_sweeps = corner_rows.len();
-        for (j, row) in corner_rows {
-            cache.seed(j as u64, row.into());
-        }
-        cache.invalidate_if(|k, row| {
-            if !carried.contains(&k) {
-                return true; // fresh corner rows are exact by construction
+                survivors.into_iter().zip(keep).filter_map(|(row, keep)| keep.then_some(row)).collect()
             }
-            let u = k as usize;
-            gaps.iter().all(|gap| {
-                let through_edit = gap[u];
-                (0..dim).all(|j| new_to_old[j].is_none() || through_edit.saturating_add(gap[j]) >= row[j])
-            })
-        });
-        // Count what actually stayed resident, so budget evictions during
-        // seeding are charged as drops too, not claimed as reuse.
-        let rows_carried = cache.snapshot().iter().filter(|(k, _)| carried.contains(k)).count();
-        drop(cache);
-        let carry = RowCarry { rows_carried, rows_dropped: candidate_count - rows_carried, corner_sweeps };
-        (DistanceStore::Implicit(Box::new(store)), carry)
-    }
-
-    /// A dense store for an *edited* scene that carries every row of the
-    /// previous epoch's matrix the edit provably cannot change and re-sweeps
-    /// only the rest (inserted-corner sources plus keep-test failures).
-    /// Same keep-test and column-fill scheme as
-    /// [`DistanceStore::implicit_delta`]; the result is bitwise-identical to
-    /// an eager fresh build.
-    pub fn dense_delta(
-        obstacles: &ObstacleSet,
-        old: &MinPlusMatrix,
-        new_to_old: &[Option<usize>],
-        edited: &[rsp_geom::Rect],
-    ) -> (Self, RowCarry) {
-        use rayon::prelude::*;
-        let vertices = obstacles.vertices();
-        let dim = vertices.len();
-        // Deferred like the implicit arm's: a full-carry edit needs no sweeps
-        // and therefore never builds the skeleton.
-        let provider = LazyProvider::deferred(Arc::new(obstacles.clone()));
-        let gaps: Vec<Vec<Dist>> =
-            edited.iter().map(|r| vertices.iter().map(|&v| r.l1_distance_to(v)).collect()).collect();
-        // Decide per row: carry (survivor passing the keep-test on every
-        // surviving column) or sweep.
-        let keeps: Vec<Option<usize>> = (0..dim)
-            .into_par_iter()
-            .map(|i| {
-                let old_i = new_to_old[i]?;
-                let old_row = old.row(old_i);
-                gaps.iter()
-                    .all(|gap| {
-                        let through_edit = gap[i];
-                        (0..dim).all(|j| match new_to_old[j] {
-                            Some(old_j) => through_edit.saturating_add(gap[j]) >= old_row[old_j],
-                            None => true,
-                        })
-                    })
-                    .then_some(old_i)
-            })
-            .collect();
-        let sweep_list: Vec<usize> = (0..dim).filter(|&i| keeps[i].is_none()).collect();
-        let swept: HashMap<usize, Vec<Dist>> = if sweep_list.is_empty() {
-            HashMap::new()
-        } else {
-            provider.force();
-            sweep_list.par_iter().map(|&i| (i, provider.row(i))).collect()
         };
-        let rows: Vec<Vec<Dist>> = (0..dim)
-            .into_par_iter()
-            .map(|i| match keeps[i] {
-                Some(old_i) => {
-                    let old_row = old.row(old_i);
-                    (0..dim)
-                        .map(|j| match new_to_old[j] {
-                            Some(old_j) => old_row[old_j],
-                            // Inserted column: exact by symmetry from the
-                            // freshly swept inserted-corner row.
-                            None => swept[&j][i],
-                        })
-                        .collect()
-                }
-                None => swept[&i].clone(),
+        let mut carried = vec![false; dim];
+        for &(i, _) in &kept {
+            carried[i] = true;
+        }
+        let sweep: Vec<usize> = match kind {
+            StoreKind::Implicit { .. } if kept.is_empty() => Vec::new(),
+            StoreKind::Implicit { .. } => (0..dim).filter(|&j| is_new(j)).collect(),
+            _ => (0..dim).filter(|&i| !carried[i]).collect(),
+        };
+        let mut rows: Vec<Vec<Dist>> = vec![Vec::new(); dim];
+        if !sweep.is_empty() {
+            provider.force();
+            let swept: Vec<Vec<Dist>> = sweep.par_iter().map(|&i| provider.row(i)).collect();
+            for (&i, row) in sweep.iter().zip(swept) {
+                rows[i] = row;
+            }
+        }
+        let remapped: Vec<(usize, Vec<Dist>)> = kept
+            .par_iter()
+            .map(|&(i, old_row)| {
+                let row = (0..dim)
+                    .map(|j| match new_to_old[j] {
+                        Some(oj) => old_row[oj],
+                        None => rows[j][i],
+                    })
+                    .collect();
+                (i, row)
             })
             .collect();
-        let rows_carried = keeps.iter().filter(|k| k.is_some()).count();
-        let corner_sweeps = (0..dim).filter(|&i| new_to_old[i].is_none()).count();
-        let carry = RowCarry { rows_carried, rows_dropped: dim - rows_carried - corner_sweeps, corner_sweeps };
-        (DistanceStore::dense(MinPlusMatrix::from_rows(rows)), carry)
+        let corner_sweeps = sweep.iter().filter(|&&j| is_new(j)).count();
+        let (store, rows_carried) = match kind {
+            StoreKind::Implicit { budget_bytes } => {
+                let store = ImplicitStore::new(provider, dim, budget_bytes);
+                let mut cache = store.cache.lock().expect("distance row cache poisoned");
+                for (i, row) in remapped {
+                    cache.seed(i as u64, row.into());
+                }
+                for (j, row) in rows.into_iter().enumerate().filter(|(_, row)| !row.is_empty()) {
+                    cache.seed(j as u64, row.into());
+                }
+                // Count what actually stayed resident, so budget evictions
+                // during seeding are charged as drops, not claimed as reuse.
+                let rows_carried = cache.snapshot().iter().filter(|&&(k, _)| carried[k as usize]).count();
+                drop(cache);
+                (DistanceStore::Implicit(Box::new(store)), rows_carried)
+            }
+            _ => {
+                for (i, row) in remapped {
+                    rows[i] = row;
+                }
+                (DistanceStore::Dense(MinPlusMatrix::from_rows(rows)), kept.len())
+            }
+        };
+        (store, RowCarry { rows_carried, rows_dropped: candidates - rows_carried, corner_sweeps })
     }
 
     /// Entry `(i, j)`: one array read for the dense arm, a cache probe (and
@@ -594,6 +548,10 @@ mod tests {
     use super::*;
     use rsp_workload::uniform_disjoint;
 
+    fn implicit(obstacles: &ObstacleSet, budget_bytes: usize) -> DistanceStore {
+        DistanceStore::build(Arc::new(obstacles.clone()), StoreKind::Implicit { budget_bytes }, None).0
+    }
+
     #[test]
     fn auto_resolution_picks_by_scene_size() {
         assert_eq!(StoreKind::Auto.resolve(8), StoreKind::Dense);
@@ -618,14 +576,14 @@ mod tests {
     }
 
     #[test]
-    fn implicit_sweep_matches_dense_bitwise() {
+    fn implicit_store_matches_dense_bitwise() {
         let w = uniform_disjoint(9, 17);
         let engine = SingleSourceEngine::new(&w.obstacles);
         let rows: Vec<Vec<Dist>> = engine.vertices().to_vec().iter().map(|&v| engine.distances_from(v)).collect();
         let dense = DistanceStore::dense(MinPlusMatrix::from_rows(rows));
         // A budget of three rows forces heavy churn; answers must not move.
         let row_bytes = dense.dim() * ENTRY_BYTES;
-        let implicit = DistanceStore::implicit_sweep(&w.obstacles, 3 * row_bytes);
+        let implicit = implicit(&w.obstacles, 3 * row_bytes);
         assert_eq!(implicit.dim(), dense.dim());
         for i in 0..dense.dim() {
             for j in 0..dense.dim() {
@@ -647,7 +605,7 @@ mod tests {
         let w = uniform_disjoint(6, 5);
         let verts = w.obstacles.vertices();
         let truth = rsp_geom::hanan::ground_truth_matrix(&w.obstacles, &verts);
-        let implicit = DistanceStore::implicit_sweep(&w.obstacles, usize::MAX);
+        let implicit = implicit(&w.obstacles, usize::MAX);
         assert_eq!(implicit.kind(), StoreKind::Implicit { budget_bytes: usize::MAX });
         for (i, row) in truth.iter().enumerate() {
             for (j, &d) in row.iter().enumerate() {
@@ -660,7 +618,7 @@ mod tests {
     #[test]
     fn symmetric_accessor_answers_from_either_resident_row() {
         let w = uniform_disjoint(5, 3);
-        let store = DistanceStore::implicit_sweep(&w.obstacles, usize::MAX);
+        let store = implicit(&w.obstacles, usize::MAX);
         let dim = store.dim();
         // Materialise row 2, then ask (7, 2): the resident row must answer
         // (one hit), with no second sweep for row 7.
@@ -686,7 +644,7 @@ mod tests {
         let dense = DistanceStore::dense(MinPlusMatrix::from_rows(rows));
         let dim = dense.dim();
         let row_bytes = dim * ENTRY_BYTES;
-        let store = DistanceStore::implicit_sweep(&w.obstacles, 2 * row_bytes);
+        let store = implicit(&w.obstacles, 2 * row_bytes);
         let implicit = store.as_implicit().expect("implicit store");
         {
             let pins = implicit.pin_rows(&[3, 0, 7, 3, 0]);
@@ -720,7 +678,7 @@ mod tests {
     #[test]
     fn row_cache_counts_hits_after_first_touch() {
         let w = uniform_disjoint(4, 2);
-        let store = DistanceStore::implicit_sweep(&w.obstacles, usize::MAX);
+        let store = implicit(&w.obstacles, usize::MAX);
         let dim = store.dim();
         for j in 0..dim {
             let _ = store.at(0, j);

@@ -43,8 +43,8 @@ pub mod staircase;
 pub use chain::{Chain, Side};
 pub use locate::ObstacleIndex;
 pub use path::RectiPath;
-pub use point::{Coord, Dir, Dist, Point, INF};
-pub use rayshoot::SlabReuse;
+pub use point::{Coord, Dir, Dist, Point, COORD_LIMIT, INF};
+pub use rayshoot::{Carry, SlabReuse};
 pub use rect::{AppliedDelta, DeltaError, DisjointnessViolation, ObstacleSet, Rect, RectId, SceneDelta};
 pub use region::StairRegion;
 pub use staircase::Quadrant;

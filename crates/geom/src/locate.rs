@@ -19,7 +19,7 @@
 //! nothing.
 
 use crate::point::{Coord, Dir, Point};
-use crate::rayshoot::{DirIndex, Hit, ShootIndex, SlabReuse};
+use crate::rayshoot::{Carry, DirIndex, Hit, ShootIndex, SlabReuse};
 use crate::rect::{ObstacleSet, RectId};
 
 /// Point-containment and segment-clearance index over an [`ObstacleSet`]:
@@ -43,35 +43,19 @@ pub struct ObstacleIndex {
 impl ObstacleIndex {
     /// Build the index in `O(n log n)`.
     pub fn build(obstacles: &ObstacleSet) -> Self {
-        let top_edges: Vec<(Coord, Coord, Coord, RectId)> =
-            obstacles.iter().enumerate().map(|(id, r)| (r.xmin, r.xmax, r.ymax, id)).collect();
-        ObstacleIndex {
-            shoot: ShootIndex::build(obstacles),
-            tops: DirIndex::build(&top_edges, true),
-            ymins: obstacles.iter().map(|r| r.ymin).collect(),
-        }
+        Self::build_with(obstacles, None).0
     }
 
-    /// Rebuild the index for an edited scene, copying every ray-shooting and
-    /// top-edge slab column the edit provably cannot affect from `old` (see
-    /// [`ShootIndex::build_delta`]).  `edited` holds the geometries of all
-    /// inserted and removed rectangles, `old_to_new` the id compaction map.
-    /// The result is identical to [`ObstacleIndex::build`] on `obstacles`;
-    /// the returned [`SlabReuse`] aggregates all five directional indexes.
-    pub fn build_delta(
-        obstacles: &ObstacleSet,
-        old: &ObstacleIndex,
-        edited: &[crate::rect::Rect],
-        old_to_new: &[Option<RectId>],
-    ) -> (Self, SlabReuse) {
-        let top_edges: Vec<(Coord, Coord, Coord, RectId)> =
-            obstacles.iter().enumerate().map(|(id, r)| (r.xmin, r.xmax, r.ymax, id)).collect();
-        let dirty_x: Vec<(Coord, Coord)> = edited.iter().map(|r| (r.xmin, r.xmax)).collect();
-        let (shoot, mut reuse) = ShootIndex::build_delta(obstacles, &old.shoot, edited, old_to_new);
-        let (tops, tops_reuse) = DirIndex::build_delta(&top_edges, true, &old.tops, old_to_new, &dirty_x);
+    /// Build the index, copying from `base` every ray-shooting and top-edge
+    /// slab column the edit cannot affect (see [`ShootIndex::build_with`]).
+    /// The index is the same with or without a base; the returned
+    /// [`SlabReuse`] aggregates all five directional indexes.
+    pub fn build_with(obstacles: &ObstacleSet, base: Option<Carry<'_, ObstacleIndex>>) -> (Self, SlabReuse) {
+        let (shoot, mut reuse) = ShootIndex::build_with(obstacles, base.map(|b| b.part(|o| &o.shoot)));
+        let (tops, tops_reuse) =
+            DirIndex::build(obstacles, |r| (r.xmin, r.xmax, r.ymax), true, base.map(|b| b.part(|o| &o.tops)));
         reuse.merge(tops_reuse);
-        let index = ObstacleIndex { shoot, tops, ymins: obstacles.iter().map(|r| r.ymin).collect() };
-        (index, reuse)
+        (ObstacleIndex { shoot, tops, ymins: obstacles.iter().map(|r| r.ymin).collect() }, reuse)
     }
 
     /// Number of indexed obstacles.
@@ -208,13 +192,16 @@ mod tests {
         let old = ObstacleIndex::build(&obs);
         let delta = SceneDelta { insert: vec![Rect::new(20, 20, 24, 23)], remove: vec![2] };
         let applied = obs.apply_delta(&delta).unwrap();
-        let (idx, reuse) = ObstacleIndex::build_delta(&applied.obstacles, &old, &applied.edited, &applied.old_to_new);
+        let (idx, reuse) =
+            ObstacleIndex::build_with(&applied.obstacles, Some(crate::rayshoot::tests::carry(&old, &applied)));
         let fresh = ObstacleIndex::build(&applied.obstacles);
         assert!(reuse.reused > 0, "a far-away edit must reuse some slab columns: {reuse:?}");
         for x in -6..27 {
             for y in -6..26 {
                 let p = pt(x, y);
                 assert_eq!(idx.containing_obstacle(p), fresh.containing_obstacle(p), "at {p:?}");
+                // An independent reference, not just the no-base build.
+                assert_eq!(idx.containing_obstacle(p), applied.obstacles.containing_obstacle(p), "at {p:?}");
                 for dir in Dir::ALL {
                     assert_eq!(idx.shoot(p, dir), fresh.shoot(p, dir), "at {p:?} {dir:?}");
                 }

@@ -14,6 +14,22 @@ pub type Dist = i64;
 /// overflow and `INF` still compares larger than any realistic path length.
 pub const INF: Dist = i64::MAX / 4;
 
+/// The coordinate domain: obstacle corners and arbitrary query points must
+/// lie in `[-COORD_LIMIT, COORD_LIMIT]` (`2^38`), and a container margin is
+/// at most `COORD_LIMIT` too.  Inside it no length can reach [`INF`] or
+/// overflow:
+///
+/// * The container (obstacle bounding box plus margin) lies inside `±2^39`.
+/// * The query structures prolong escape staircases to a sentinel at
+///   `±2^40`, strictly outside the container, so a staircase cannot end
+///   inside the scene.
+/// * A shortest path between two points of the container is at most an
+///   escape staircase out of the obstacles' box, a walk around that box and
+///   a staircase back in: a few semi-perimeters of a `2^40`-wide square,
+///   below `2^44`.  The queries add at most a handful of such lengths, so
+///   every sum stays below `2^47` — far under `INF ≈ 2^61`.
+pub const COORD_LIMIT: Coord = 1 << 38;
+
 /// A point in the plane with integer coordinates.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Point {
@@ -33,6 +49,12 @@ impl Point {
     /// Create a point.
     pub const fn new(x: Coord, y: Coord) -> Self {
         Point { x, y }
+    }
+
+    /// Whether both coordinates lie inside `±`[`COORD_LIMIT`].
+    pub fn in_domain(&self) -> bool {
+        let domain = -COORD_LIMIT..=COORD_LIMIT;
+        domain.contains(&self.x) && domain.contains(&self.y)
     }
 
     /// L1 (rectilinear / Manhattan) distance `|x(p)-x(q)| + |y(p)-y(q)|`.

@@ -93,71 +93,46 @@ pub(crate) struct DirIndex {
     forward: bool,
 }
 
-/// Everything of a [`DirIndex`] except the slabs: the coordinate
-/// compression, the segment tree and the edge/position incidence count.
-/// Shared verbatim by the fresh and the delta builds, so the two can only
-/// differ in how they *fill* the slab arena — never in its shape.
-struct DirSkeleton {
-    coords: Vec<Coord>,
-    size: usize,
-    nodes: Vec<Vec<(Coord, RectId)>>,
-    positions: usize,
-    incidence: usize,
-    /// Whether the incidence budget admits the slab fast path.
-    slabs_on: bool,
+/// The edge a ray in one direction hits on a rectangle, as
+/// `(perp_lo, perp_hi, along)`: the open perpendicular interval
+/// `(perp_lo, perp_hi)` at coordinate `along` in the shooting direction.
+pub(crate) type EdgeOf = fn(&Rect) -> (Coord, Coord, Coord);
+
+/// What a rebuild for an edited scene may carry over: the previous epoch's
+/// structure, the obstacle-id compaction map of the edit and the geometries
+/// of every inserted and removed rectangle (in any order).
+pub struct Carry<'a, T> {
+    /// The previous epoch's structure.
+    pub old: &'a T,
+    /// Old obstacle id → new id (`None` for removed obstacles).
+    pub old_to_new: &'a [Option<RectId>],
+    /// Closed geometries of every inserted and removed rectangle.
+    pub edited: &'a [Rect],
 }
 
-fn dir_skeleton(edges: &[(Coord, Coord, Coord, RectId)]) -> DirSkeleton {
-    // edges: (perp_lo, perp_hi, along, rect): open interval (perp_lo, perp_hi)
-    let mut coords: Vec<Coord> = edges.iter().flat_map(|e| [e.0, e.1]).collect();
-    coords.sort_unstable();
-    coords.dedup();
-    let positions = if coords.is_empty() { 1 } else { 2 * coords.len() - 1 };
-    let mut size = 1usize;
-    while size < positions {
-        size *= 2;
+impl<T> Clone for Carry<'_, T> {
+    fn clone(&self) -> Self {
+        *self
     }
-    let mut nodes: Vec<Vec<(Coord, RectId)>> = vec![Vec::new(); 2 * size];
-    let pos_of = |c: Coord| -> usize { coords.binary_search(&c).unwrap() * 2 };
-    let mut incidence = 0usize;
-    for &(lo, hi, along, rect) in edges {
-        if lo >= hi {
-            continue;
-        }
-        incidence += pos_of(hi) - pos_of(lo) - 1;
-        // open interval (lo, hi) covers positions pos(lo)+1 ..= pos(hi)-1
-        let (mut l, mut r) = (pos_of(lo) + 1 + size, pos_of(hi) - 1 + size + 1);
-        while l < r {
-            if l & 1 == 1 {
-                nodes[l].push((along, rect));
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                nodes[r].push((along, rect));
-            }
-            l /= 2;
-            r /= 2;
-        }
-    }
-    for node in nodes.iter_mut() {
-        node.sort_unstable();
-    }
-    // The slab fast path is gated on an O(n log n) incidence budget so the
-    // structure never degenerates to quadratic space.
-    let m = edges.len().max(2);
-    let budget = 4 * m * (usize::BITS - m.leading_zeros()) as usize;
-    DirSkeleton { coords, size, nodes, positions, incidence, slabs_on: incidence <= budget }
 }
 
-/// Slab-column accounting of a [`DirIndex::build_delta`] rebuild: how many
-/// positions copied their sorted slab from the previous epoch's index versus
-/// how many were refilled from the edge list.
+impl<T> Copy for Carry<'_, T> {}
+
+impl<'a, T> Carry<'a, T> {
+    /// The same edit, carrying from one part of the old structure.
+    pub fn part<U>(self, pick: impl FnOnce(&'a T) -> &'a U) -> Carry<'a, U> {
+        Carry { old: pick(self.old), old_to_new: self.old_to_new, edited: self.edited }
+    }
+}
+
+/// Slab-column accounting of a [`DirIndex`] build: how many positions
+/// copied their sorted slab from the base epoch's index versus how many
+/// were filled from the edge list.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlabReuse {
     /// Slab columns copied (id-remapped) from the old index.
     pub reused: usize,
-    /// Slab columns refilled and re-sorted from scratch.
+    /// Slab columns filled and sorted from scratch.
     pub rebuilt: usize,
 }
 
@@ -169,156 +144,167 @@ impl SlabReuse {
     }
 }
 
-impl DirIndex {
-    pub(crate) fn build(edges: &[(Coord, Coord, Coord, RectId)], forward: bool) -> Self {
-        let sk = dir_skeleton(edges);
-        // The per-position lists live in one flat arena (offset array +
-        // entry array) so a query touches two contiguous allocations, not a
-        // Vec-of-Vecs.
-        let (slab_starts, slab_entries) = if sk.slabs_on {
-            let pos_of = |c: Coord| -> usize { sk.coords.binary_search(&c).unwrap() * 2 };
-            let mut slabs: Vec<Vec<(Coord, RectId)>> = vec![Vec::new(); sk.positions];
-            for &(lo, hi, along, rect) in edges {
-                if lo >= hi {
-                    continue;
-                }
-                for slab in slabs.iter_mut().take(pos_of(hi)).skip(pos_of(lo) + 1) {
-                    slab.push((along, rect));
-                }
-            }
-            let mut starts = Vec::with_capacity(sk.positions + 1);
-            let mut entries = Vec::with_capacity(sk.incidence);
-            starts.push(0u32);
-            for slab in slabs.iter_mut() {
-                slab.sort_unstable();
-                entries.extend_from_slice(slab);
-                starts.push(entries.len() as u32);
-            }
-            (starts, entries)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        DirIndex { coords: sk.coords, size: sk.size, nodes: sk.nodes, slab_starts, slab_entries, forward }
+/// The old slab that position `p` of the new compression (`coords`) may
+/// copy, or `None` when it must be filled (see [`DirIndex::build`] for why
+/// a clean position's old slab is exact).
+fn clean_slab<'a>(
+    coords: &[Coord],
+    p: usize,
+    forward: bool,
+    base: Carry<'a, DirIndex>,
+    dirty: &[(Coord, Coord)],
+) -> Option<&'a [(Coord, RectId)]> {
+    let old = base.old;
+    if old.slab_starts.is_empty() || old.forward != forward {
+        return None;
     }
+    let old_pos = if p.is_multiple_of(2) {
+        let c = coords[p / 2];
+        if dirty.iter().any(|&(lo, hi)| lo <= c && c <= hi) {
+            return None;
+        }
+        2 * old.coords.binary_search(&c).ok()?
+    } else {
+        let (a, b) = (coords[p / 2], coords[p / 2 + 1]);
+        if dirty.iter().any(|&(lo, hi)| lo < b && a < hi) {
+            return None;
+        }
+        let j = old.coords.binary_search(&a).ok()?;
+        if old.coords.get(j + 1) != Some(&b) {
+            return None;
+        }
+        2 * j + 1
+    };
+    let slab = &old.slab_entries[old.slab_starts[old_pos] as usize..old.slab_starts[old_pos + 1] as usize];
+    // Every covering edge must have survived (it must, by the clean argument;
+    // stay defensive rather than subtly wrong).
+    slab.iter().all(|&(_, id)| base.old_to_new.get(id).copied().flatten().is_some()).then_some(slab)
+}
 
-    /// Rebuild for an edited scene, copying every slab column the edit
-    /// provably cannot affect from `old` instead of refilling and re-sorting
-    /// it.  The result is **identical** (field for field) to
-    /// [`DirIndex::build`] over `edges`:
+impl DirIndex {
+    /// Index the `edge` of every obstacle for one shooting direction,
+    /// copying from `base` every slab column the edit provably cannot
+    /// affect instead of filling and sorting it.  The result is the same,
+    /// field for field, with or without a base:
     ///
     /// * The coordinate compression, segment tree and incidence gate are
-    ///   recomputed fresh — they are `O(m log m)` and shape the structure.
+    ///   always computed from the edges — they are `O(m log m)` and shape
+    ///   the structure.
     /// * A position is *clean* when its geometric span (a coordinate for
     ///   even positions, the open gap between two adjacent coordinates for
-    ///   odd ones) is disjoint from every interval in `dirty` — the closed
-    ///   perpendicular extents of all inserted and removed rectangles.  No
-    ///   inserted edge can cover a clean position (its extent lies inside a
-    ///   dirty interval), no removed edge covered the corresponding old
-    ///   position (same argument), and no old coordinate can sit strictly
-    ///   inside a clean gap (it would have to belong to a removed edge whose
-    ///   dirty interval then meets the gap) — so the old slab at the mapped
-    ///   position holds exactly the surviving edges covering the clean
-    ///   position.  Copying it with ids remapped through `old_to_new`
-    ///   reproduces the fresh slab verbatim: survivors keep their relative
-    ///   id order under compaction, so the `(along, id)` sort order is
-    ///   preserved by the remap.
-    /// * Dirty positions (and any position the mapping cannot place, e.g.
-    ///   when `old` skipped its slabs) are refilled from `edges`.
-    pub(crate) fn build_delta(
-        edges: &[(Coord, Coord, Coord, RectId)],
+    ///   odd ones) is disjoint from the closed perpendicular extent of every
+    ///   edited rectangle.  No inserted edge can cover a clean position (its
+    ///   extent lies inside a dirty interval), no removed edge covered the
+    ///   corresponding old position (same argument), and no old coordinate
+    ///   can sit strictly inside a clean gap (it would have to belong to a
+    ///   removed edge whose dirty interval then meets the gap) — so the old
+    ///   slab at the mapped position holds exactly the surviving edges
+    ///   covering the clean position.  Copying it with ids remapped through
+    ///   `old_to_new` reproduces the filled slab verbatim: survivors keep
+    ///   their relative id order under compaction, so the `(along, id)`
+    ///   sort order is preserved by the remap.
+    /// * Every other position (all of them without a base, and any the
+    ///   mapping cannot place, e.g. when the old index skipped its slabs) is
+    ///   filled from the edges.
+    pub(crate) fn build(
+        obstacles: &ObstacleSet,
+        edge: EdgeOf,
         forward: bool,
-        old: &DirIndex,
-        old_to_new: &[Option<RectId>],
-        dirty: &[(Coord, Coord)],
+        base: Option<Carry<'_, DirIndex>>,
     ) -> (Self, SlabReuse) {
-        let sk = dir_skeleton(edges);
-        if !sk.slabs_on {
-            // The fresh build would skip the slabs too; nothing to reuse.
-            let index = DirIndex {
-                coords: sk.coords,
-                size: sk.size,
-                nodes: sk.nodes,
-                slab_starts: Vec::new(),
-                slab_entries: Vec::new(),
-                forward,
-            };
-            return (index, SlabReuse::default());
+        let edges: Vec<(Coord, Coord, Coord, RectId)> = obstacles
+            .iter()
+            .enumerate()
+            .map(|(id, r)| {
+                let (lo, hi, along) = edge(r);
+                (lo, hi, along, id)
+            })
+            .collect();
+        let mut coords: Vec<Coord> = edges.iter().flat_map(|e| [e.0, e.1]).collect();
+        coords.sort_unstable();
+        coords.dedup();
+        let positions = if coords.is_empty() { 1 } else { 2 * coords.len() - 1 };
+        let mut size = 1usize;
+        while size < positions {
+            size *= 2;
         }
-        // Classify each position: copy its slab from the old arena, or
-        // refill it.  `None` means refill.
-        let old_range = |p: usize| -> Option<(usize, usize)> {
-            if old.slab_starts.is_empty() || old.forward != forward {
-                return None;
+        let mut nodes: Vec<Vec<(Coord, RectId)>> = vec![Vec::new(); 2 * size];
+        let pos_of = |c: Coord| -> usize { coords.binary_search(&c).unwrap() * 2 };
+        let mut incidence = 0usize;
+        for &(lo, hi, along, rect) in &edges {
+            if lo >= hi {
+                continue;
             }
-            let clean = if p.is_multiple_of(2) {
-                let c = sk.coords[p / 2];
-                !dirty.iter().any(|&(lo, hi)| lo <= c && c <= hi)
-            } else {
-                let (a, b) = (sk.coords[p / 2], sk.coords[p / 2 + 1]);
-                !dirty.iter().any(|&(lo, hi)| lo < b && a < hi)
-            };
-            if !clean {
-                return None;
-            }
-            let old_pos = if p.is_multiple_of(2) {
-                2 * old.coords.binary_search(&sk.coords[p / 2]).ok()?
-            } else {
-                let j = old.coords.binary_search(&sk.coords[p / 2]).ok()?;
-                if old.coords.get(j + 1) != Some(&sk.coords[p / 2 + 1]) {
-                    return None;
+            incidence += pos_of(hi) - pos_of(lo) - 1;
+            // open interval (lo, hi) covers positions pos(lo)+1 ..= pos(hi)-1
+            let (mut l, mut r) = (pos_of(lo) + 1 + size, pos_of(hi) - 1 + size + 1);
+            while l < r {
+                if l & 1 == 1 {
+                    nodes[l].push((along, rect));
+                    l += 1;
                 }
-                2 * j + 1
-            };
-            let (s, e) = (old.slab_starts[old_pos] as usize, old.slab_starts[old_pos + 1] as usize);
-            // Every covering edge must have survived (it must, by the clean
-            // argument above; stay defensive rather than subtly wrong).
-            old.slab_entries[s..e]
-                .iter()
-                .all(|&(_, id)| old_to_new.get(id).copied().flatten().is_some())
-                .then_some((s, e))
+                if r & 1 == 1 {
+                    r -= 1;
+                    nodes[r].push((along, rect));
+                }
+                l /= 2;
+                r /= 2;
+            }
+        }
+        for node in nodes.iter_mut() {
+            node.sort_unstable();
+        }
+        // The slab fast path is gated on an O(n log n) incidence budget so the
+        // structure never degenerates to quadratic space.
+        let m = edges.len().max(2);
+        let budget = 4 * m * (usize::BITS - m.leading_zeros()) as usize;
+        let mut reuse = SlabReuse::default();
+        if incidence > budget {
+            let index = DirIndex { coords, size, nodes, slab_starts: Vec::new(), slab_entries: Vec::new(), forward };
+            return (index, reuse);
+        }
+        // Each position either copies its old slab (`Some`) or is filled
+        // from the edges (`None`).
+        let old_to_new = base.map_or(&[][..], |b| b.old_to_new);
+        let carried: Vec<Option<&[(Coord, RectId)]>> = match base {
+            Some(base) => {
+                let dirty: Vec<(Coord, Coord)> = base.edited.iter().map(|r| (edge(r).0, edge(r).1)).collect();
+                (0..positions).map(|p| clean_slab(&coords, p, forward, base, &dirty)).collect()
+            }
+            None => vec![None; positions],
         };
-        let sources: Vec<Option<(usize, usize)>> = (0..sk.positions).map(old_range).collect();
-        // Refill only the positions that could not be copied.
-        let pos_of = |c: Coord| -> usize { sk.coords.binary_search(&c).unwrap() * 2 };
-        let mut refill: Vec<Vec<(Coord, RectId)>> = vec![Vec::new(); sk.positions];
-        for &(lo, hi, along, rect) in edges {
+        let mut filled: Vec<Vec<(Coord, RectId)>> = vec![Vec::new(); positions];
+        for &(lo, hi, along, rect) in &edges {
             if lo >= hi {
                 continue;
             }
             for p in (pos_of(lo) + 1)..pos_of(hi) {
-                if sources[p].is_none() {
-                    refill[p].push((along, rect));
+                if carried[p].is_none() {
+                    filled[p].push((along, rect));
                 }
             }
         }
-        let mut starts = Vec::with_capacity(sk.positions + 1);
-        let mut entries = Vec::with_capacity(sk.incidence);
-        starts.push(0u32);
-        let mut reuse = SlabReuse::default();
-        for (p, source) in sources.iter().enumerate() {
-            match *source {
-                Some((s, e)) => {
+        // The per-position lists live in one flat arena (offset array +
+        // entry array) so a query touches two contiguous allocations, not a
+        // Vec-of-Vecs.
+        let mut slab_starts = Vec::with_capacity(positions + 1);
+        let mut slab_entries = Vec::with_capacity(incidence);
+        slab_starts.push(0u32);
+        for (old, mut slab) in carried.into_iter().zip(filled) {
+            match old {
+                Some(old) => {
                     reuse.reused += 1;
-                    entries.extend(
-                        old.slab_entries[s..e].iter().map(|&(c, id)| (c, old_to_new[id].expect("checked survivor"))),
-                    );
+                    slab_entries.extend(old.iter().map(|&(c, id)| (c, old_to_new[id].expect("checked survivor"))));
                 }
                 None => {
                     reuse.rebuilt += 1;
-                    refill[p].sort_unstable();
-                    entries.extend_from_slice(&refill[p]);
+                    slab.sort_unstable();
+                    slab_entries.extend_from_slice(&slab);
                 }
             }
-            starts.push(entries.len() as u32);
+            slab_starts.push(slab_entries.len() as u32);
         }
-        let index = DirIndex {
-            coords: sk.coords,
-            size: sk.size,
-            nodes: sk.nodes,
-            slab_starts: starts,
-            slab_entries: entries,
-            forward,
-        };
+        let index = DirIndex { coords, size, nodes, slab_starts, slab_entries, forward };
         (index, reuse)
     }
 
@@ -407,62 +393,29 @@ pub struct ShootIndex {
 impl ShootIndex {
     /// Build the index in `O(n log n)`.
     pub fn build(obstacles: &ObstacleSet) -> Self {
-        let mut north_edges = Vec::with_capacity(obstacles.len());
-        let mut south_edges = Vec::with_capacity(obstacles.len());
-        let mut east_edges = Vec::with_capacity(obstacles.len());
-        let mut west_edges = Vec::with_capacity(obstacles.len());
-        for (id, r) in obstacles.iter().enumerate() {
-            // Shooting north hits bottom edges, perpendicular coordinate is x.
-            north_edges.push((r.xmin, r.xmax, r.ymin, id));
-            south_edges.push((r.xmin, r.xmax, r.ymax, id));
-            east_edges.push((r.ymin, r.ymax, r.xmin, id));
-            west_edges.push((r.ymin, r.ymax, r.xmax, id));
-        }
-        ShootIndex {
-            north: DirIndex::build(&north_edges, true),
-            south: DirIndex::build(&south_edges, false),
-            east: DirIndex::build(&east_edges, true),
-            west: DirIndex::build(&west_edges, false),
-        }
+        Self::build_with(obstacles, None).0
     }
 
-    /// Rebuild the index for an edited scene, copying the slab columns the
-    /// edit cannot affect from `old`.  `edited` holds the geometries of every
-    /// inserted and removed rectangle (in any order); `old_to_new` maps the
-    /// previous epoch's obstacle ids to the compacted new ids (`None` for
-    /// removed rectangles).  The result is identical to
-    /// [`ShootIndex::build`] on `obstacles`; the returned [`SlabReuse`] sums
-    /// the per-direction accounting.
-    pub fn build_delta(
-        obstacles: &ObstacleSet,
-        old: &ShootIndex,
-        edited: &[Rect],
-        old_to_new: &[Option<RectId>],
-    ) -> (Self, SlabReuse) {
-        let mut north_edges = Vec::with_capacity(obstacles.len());
-        let mut south_edges = Vec::with_capacity(obstacles.len());
-        let mut east_edges = Vec::with_capacity(obstacles.len());
-        let mut west_edges = Vec::with_capacity(obstacles.len());
-        for (id, r) in obstacles.iter().enumerate() {
-            north_edges.push((r.xmin, r.xmax, r.ymin, id));
-            south_edges.push((r.xmin, r.xmax, r.ymax, id));
-            east_edges.push((r.ymin, r.ymax, r.xmin, id));
-            west_edges.push((r.ymin, r.ymax, r.xmax, id));
-        }
-        // North/south slabs are keyed on x, east/west slabs on y: a position
-        // is dirty when it meets the closed perpendicular extent of any
-        // edited rectangle.
-        let dirty_x: Vec<(Coord, Coord)> = edited.iter().map(|r| (r.xmin, r.xmax)).collect();
-        let dirty_y: Vec<(Coord, Coord)> = edited.iter().map(|r| (r.ymin, r.ymax)).collect();
-        let (north, rn) = DirIndex::build_delta(&north_edges, true, &old.north, old_to_new, &dirty_x);
-        let (south, rs) = DirIndex::build_delta(&south_edges, false, &old.south, old_to_new, &dirty_x);
-        let (east, re) = DirIndex::build_delta(&east_edges, true, &old.east, old_to_new, &dirty_y);
-        let (west, rw) = DirIndex::build_delta(&west_edges, false, &old.west, old_to_new, &dirty_y);
-        let mut reuse = rn;
-        reuse.merge(rs);
-        reuse.merge(re);
-        reuse.merge(rw);
-        (ShootIndex { north, south, east, west }, reuse)
+    /// Build the index, copying from `base` (the previous epoch's index and
+    /// the edit that led here) every slab column the edit cannot affect.
+    /// The index is the same with or without a base; the returned
+    /// [`SlabReuse`] sums the four directions' accounting.
+    pub fn build_with(obstacles: &ObstacleSet, base: Option<Carry<'_, ShootIndex>>) -> (Self, SlabReuse) {
+        let mut reuse = SlabReuse::default();
+        let mut dir = |edge: EdgeOf, forward: bool, pick: fn(&ShootIndex) -> &DirIndex| {
+            let (index, r) = DirIndex::build(obstacles, edge, forward, base.map(|b| b.part(pick)));
+            reuse.merge(r);
+            index
+        };
+        // Shooting north hits bottom edges at perpendicular coordinate x;
+        // shooting east hits left edges at perpendicular coordinate y.
+        let index = ShootIndex {
+            north: dir(|r| (r.xmin, r.xmax, r.ymin), true, |s| &s.north),
+            south: dir(|r| (r.xmin, r.xmax, r.ymax), false, |s| &s.south),
+            east: dir(|r| (r.ymin, r.ymax, r.xmin), true, |s| &s.east),
+            west: dir(|r| (r.ymin, r.ymax, r.xmax), false, |s| &s.west),
+        };
+        (index, reuse)
     }
 
     /// Is the open axis-parallel segment `a`–`b` free of obstacle interiors,
@@ -508,7 +461,7 @@ impl ShootIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::point::pt;
     use crate::rect::Rect;
@@ -626,6 +579,11 @@ mod tests {
         assert_dir_identical(&delta.west, &fresh.west, "west");
     }
 
+    /// The carry base `applied` describes, over the previous epoch's `old`.
+    pub(crate) fn carry<'a, T>(old: &'a T, applied: &'a crate::rect::AppliedDelta) -> Carry<'a, T> {
+        Carry { old, old_to_new: &applied.old_to_new, edited: &applied.edited }
+    }
+
     /// Random disjoint rects on an odd-coordinate grid (unit cells at odd
     /// coordinates never touch, so insertions stay disjoint by construction).
     fn sparse_scene(rng: &mut impl rand::Rng, n: usize) -> Vec<Rect> {
@@ -671,11 +629,20 @@ mod tests {
             }
             let applied = obs.apply_delta(&delta).unwrap();
             let fresh = ShootIndex::build(&applied.obstacles);
-            let (built, reuse) =
-                ShootIndex::build_delta(&applied.obstacles, &old, &applied.edited, &applied.old_to_new);
+            let (built, reuse) = ShootIndex::build_with(&applied.obstacles, Some(carry(&old, &applied)));
             assert_shoot_identical(&built, &fresh);
             if delta.is_empty() {
                 assert_eq!(reuse.rebuilt, 0, "round {round}: empty delta must reuse everything");
+            }
+            // An independent reference: the carried index shoots like the
+            // naive scan, so the identity above cannot hide a shared bug of
+            // the two build paths.
+            for _ in 0..100 {
+                let p = Point::new(rng.gen_range(-170..170), rng.gen_range(-170..170));
+                for dir in Dir::ALL {
+                    let naive = shoot_naive(&applied.obstacles, p, dir, None).map(|h| h.point);
+                    assert_eq!(built.shoot(p, dir).map(|h| h.point), naive, "round {round}: {p:?} {dir:?}");
+                }
             }
         }
     }
@@ -691,7 +658,7 @@ mod tests {
         // one small rect far outside the cluster
         let delta = SceneDelta::inserting(vec![Rect::new(900, 900, 902, 902)]);
         let applied = obs.apply_delta(&delta).unwrap();
-        let (built, reuse) = ShootIndex::build_delta(&applied.obstacles, &old, &applied.edited, &applied.old_to_new);
+        let (built, reuse) = ShootIndex::build_with(&applied.obstacles, Some(carry(&old, &applied)));
         assert_shoot_identical(&built, &ShootIndex::build(&applied.obstacles));
         let total = reuse.reused + reuse.rebuilt;
         assert!(reuse.reused * 10 >= total * 9, "far-away insert should reuse >=90% of slab columns: {:?}", reuse);

@@ -58,14 +58,15 @@ impl StairRegion {
         (0..n).map(move |i| (self.verts[i], self.verts[(i + 1) % n]))
     }
 
-    /// Twice the signed area (positive for counterclockwise orientation).
-    pub fn signed_area2(&self) -> i64 {
+    /// Twice the signed area (positive for counterclockwise orientation),
+    /// in `i128`: the cross products of coordinates near
+    /// [`COORD_LIMIT`](crate::COORD_LIMIT) overflow `i64`.
+    pub fn signed_area2(&self) -> i128 {
         let n = self.verts.len();
-        let mut acc = 0i64;
+        let mut acc = 0i128;
         for i in 0..n {
-            let a = self.verts[i];
-            let b = self.verts[(i + 1) % n];
-            acc += a.x * b.y - b.x * a.y;
+            let (a, b) = (self.verts[i], self.verts[(i + 1) % n]);
+            acc += i128::from(a.x) * i128::from(b.y) - i128::from(b.x) * i128::from(a.y);
         }
         acc
     }

@@ -27,8 +27,9 @@ use std::io::{Read, Write};
 /// [`Response::SceneUpdated`] incremental scene editing, the
 /// [`ServerError::InvalidDelta`] mirror, and [`SessionStoreStats`] gained
 /// `epoch` plus the delta-reuse counters.  v5: the
-/// [`ServerError::DegenerateObstacle`] mirror.)
-pub const PROTOCOL_VERSION: u8 = 5;
+/// [`ServerError::DegenerateObstacle`] mirror.  v6: the
+/// [`ServerError::CoordinateOutOfRange`] mirror.)
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Upper bound on a frame's payload length in bytes (16 MiB).
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
@@ -211,6 +212,11 @@ pub enum ServerError {
         /// Why the delta is malformed.
         error: DeltaError,
     },
+    /// Mirror of [`RspError::CoordinateOutOfRange`].
+    CoordinateOutOfRange {
+        /// The point outside the coordinate domain.
+        point: Point,
+    },
     /// A query referenced a scene that is not resident (never loaded, or
     /// evicted by the LRU bound); the client should re-send `LoadScene`.
     UnknownScene {
@@ -250,6 +256,7 @@ impl From<RspError> for ServerError {
             RspError::PointInsideObstacle { point, obstacle } => ServerError::PointInsideObstacle { point, obstacle },
             RspError::ThreadPool(message) => ServerError::ThreadPool { message },
             RspError::InvalidDelta(error) => ServerError::InvalidDelta { error },
+            RspError::CoordinateOutOfRange(point) => ServerError::CoordinateOutOfRange { point },
         }
     }
 }
@@ -271,6 +278,7 @@ impl ServerError {
             }
             ServerError::ThreadPool { message } => Some(RspError::ThreadPool(message)),
             ServerError::InvalidDelta { error } => Some(RspError::InvalidDelta(error)),
+            ServerError::CoordinateOutOfRange { point } => Some(RspError::CoordinateOutOfRange(point)),
             ServerError::UnknownScene { .. } | ServerError::ShuttingDown => None,
         }
     }

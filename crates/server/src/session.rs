@@ -86,61 +86,53 @@ impl SessionCache {
     /// follow-up queries.
     pub fn load(&self, obstacles: &ObstacleSet) -> (SceneId, Result<Arc<Router>, ServerError>) {
         let scene = obstacles.scene_hash();
-        let (cell, stored) = {
-            let mut inner = self.inner.lock().expect("session cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            match inner.entries.get_mut(&scene) {
-                Some(entry) => {
-                    entry.last_used = tick;
-                    let hit = (Arc::clone(&entry.cell), Arc::clone(&entry.obstacles));
-                    inner.stats.hits += 1;
-                    hit
-                }
-                None => {
-                    inner.stats.misses += 1;
-                    if inner.entries.len() >= self.capacity {
-                        if let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) {
-                            inner.entries.remove(&victim);
-                            inner.stats.evictions += 1;
-                        }
-                    }
-                    let cell: SessionCell = Arc::new(OnceLock::new());
-                    let stored = Arc::new(obstacles.clone());
-                    inner.entries.insert(
-                        scene,
-                        Entry { cell: Arc::clone(&cell), obstacles: Arc::clone(&stored), last_used: tick },
-                    );
-                    inner.stats.resident = inner.entries.len() as u64;
-                    (cell, stored)
-                }
-            }
-        };
-        let result = self.resolve(&cell, &stored);
-        self.enforce_budget(scene);
-        (scene, result)
+        let result = self.resolve_entry(scene, || Some((Arc::new(OnceLock::new()), Arc::new(obstacles.clone()))));
+        (scene, result.expect("a missing scene is inserted"))
     }
 
     /// Resolve an already-loaded scene.  [`ServerError::UnknownScene`] when
     /// the scene was never loaded or has been evicted.
     pub fn lookup(&self, scene: SceneId) -> Result<Arc<Router>, ServerError> {
+        self.resolve_entry(scene, || None).unwrap_or(Err(ServerError::UnknownScene { scene }))
+    }
+
+    /// Touch `scene` under the map lock — LRU tick plus a hit — or, when it
+    /// is not resident, insert the `(cell, geometry)` that `insert` supplies
+    /// (a miss, after evicting for the count cap); `None` from `insert`
+    /// leaves the map alone and returns `None`.  The session itself is then
+    /// resolved outside the lock and the byte budget enforced.
+    fn resolve_entry(
+        &self,
+        scene: SceneId,
+        insert: impl FnOnce() -> Option<(SessionCell, Arc<ObstacleSet>)>,
+    ) -> Option<Result<Arc<Router>, ServerError>> {
         let (cell, stored) = {
             let mut inner = self.inner.lock().expect("session cache poisoned");
             inner.tick += 1;
             let tick = inner.tick;
-            match inner.entries.get_mut(&scene) {
-                Some(entry) => {
-                    entry.last_used = tick;
-                    let hit = (Arc::clone(&entry.cell), Arc::clone(&entry.obstacles));
-                    inner.stats.hits += 1;
-                    hit
+            if let Some(entry) = inner.entries.get_mut(&scene) {
+                entry.last_used = tick;
+                let hit = (Arc::clone(&entry.cell), Arc::clone(&entry.obstacles));
+                inner.stats.hits += 1;
+                hit
+            } else {
+                let (cell, obstacles) = insert()?;
+                inner.stats.misses += 1;
+                if inner.entries.len() >= self.capacity {
+                    if let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) {
+                        inner.entries.remove(&victim);
+                        inner.stats.evictions += 1;
+                    }
                 }
-                None => return Err(ServerError::UnknownScene { scene }),
+                let entry = Entry { cell: Arc::clone(&cell), obstacles: Arc::clone(&obstacles), last_used: tick };
+                inner.entries.insert(scene, entry);
+                inner.stats.resident = inner.entries.len() as u64;
+                (cell, obstacles)
             }
         };
         let result = self.resolve(&cell, &stored);
         self.enforce_budget(scene);
-        result
+        Some(result)
     }
 
     /// Build (or wait for the concurrent builder of) a session, outside the
@@ -205,41 +197,14 @@ impl SessionCache {
         obstacles: Arc<ObstacleSet>,
         router: Arc<Router>,
     ) -> Result<Arc<Router>, ServerError> {
-        let (cell, stored) = {
-            let mut inner = self.inner.lock().expect("session cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            match inner.entries.get_mut(&scene) {
-                Some(entry) => {
-                    entry.last_used = tick;
-                    let hit = (Arc::clone(&entry.cell), Arc::clone(&entry.obstacles));
-                    inner.stats.hits += 1;
-                    hit
-                }
-                None => {
-                    inner.stats.misses += 1;
-                    if inner.entries.len() >= self.capacity {
-                        if let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) {
-                            inner.entries.remove(&victim);
-                            inner.stats.evictions += 1;
-                        }
-                    }
-                    let cell: SessionCell = Arc::new(OnceLock::new());
-                    let _ = cell.set(Ok(Arc::clone(&router)));
-                    inner.entries.insert(
-                        scene,
-                        Entry { cell: Arc::clone(&cell), obstacles: Arc::clone(&obstacles), last_used: tick },
-                    );
-                    inner.stats.resident = inner.entries.len() as u64;
-                    (cell, obstacles)
-                }
-            }
-        };
-        // An existing entry may still be mid-build; resolve like any other
-        // resolution so we return whatever session the scene settles on.
-        let result = self.resolve(&cell, &stored);
-        self.enforce_budget(scene);
-        result
+        // An existing entry may still be mid-build; it resolves like any
+        // other resolution, so we return whatever session the scene settles on.
+        let result = self.resolve_entry(scene, || {
+            let cell: SessionCell = Arc::new(OnceLock::new());
+            let _ = cell.set(Ok(router));
+            Some((cell, obstacles))
+        });
+        result.expect("a missing scene is inserted")
     }
 
     /// Drop a scene's session.  Returns whether it was resident.  In-flight

@@ -6,8 +6,11 @@
 //! preserving every variant's evidence through serialisation.
 
 use proptest::prelude::*;
-use rectilinear_shortest_paths::geom::{DeltaError, DisjointnessViolation};
-use rectilinear_shortest_paths::server::{Client, Request, Response, RspService, Server, ServerError, ServiceConfig};
+use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
+use rectilinear_shortest_paths::geom::{DeltaError, DisjointnessViolation, COORD_LIMIT};
+use rectilinear_shortest_paths::server::{
+    Client, ClientError, Request, Response, RspService, Server, ServerError, ServiceConfig,
+};
 use rectilinear_shortest_paths::workload::{query_pairs, uniform_disjoint};
 use rectilinear_shortest_paths::{ObstacleSet, Point, Rect, Router, RspError};
 use std::sync::{mpsc, Arc};
@@ -160,8 +163,78 @@ fn degenerate_obstacle_from_the_wire_is_typed_and_leaves_the_shard_serving() {
     }
 }
 
+/// Coordinates outside `±COORD_LIMIT` are a typed error, never a panic or
+/// a wrong number: a rectangle hugging `i64::MAX` used to panic inside the
+/// container construction (killing the connection thread with no
+/// response), and a scene at `±i64::MAX / 2` used to build and answer a
+/// negative distance.
+#[test]
+fn out_of_range_coordinates_are_typed_and_never_answered() {
+    let service = RspService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() });
+    let huge = Rect { xmin: i64::MAX - 3, ymin: 0, xmax: i64::MAX - 1, ymax: 4 };
+    let scene = ObstacleSet::new(vec![huge, Rect::new(0, 0, 2, 2)]);
+    let rejected = ServerError::CoordinateOutOfRange { point: Point::new(i64::MAX - 3, 0) };
+    assert_eq!(service.handle(Request::LoadScene { obstacles: scene.clone() }), Response::Error { error: rejected });
+
+    let m = i64::MAX / 2;
+    let spread = ObstacleSet::new(vec![Rect::new(-m, -m, -m + 4, -m + 4), Rect::new(m - 4, m - 4, m, m)]);
+    let low = Point::new(-m, -m);
+    assert_eq!(Router::new(spread.clone()).err(), Some(RspError::CoordinateOutOfRange(low)));
+    let rejected = Response::Error { error: ServerError::CoordinateOutOfRange { point: low } };
+    assert_eq!(service.handle(Request::LoadScene { obstacles: spread }), rejected);
+
+    // Over TCP the connection answers the typed error and keeps serving.
+    let mut server = Server::bind("127.0.0.1:0", service).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.load_scene(&scene) {
+        Err(ClientError::Server(ServerError::CoordinateOutOfRange { point })) => {
+            assert_eq!(point, Point::new(i64::MAX - 3, 0))
+        }
+        other => panic!("expected a typed coordinate error, got {other:?}"),
+    }
+    let good = uniform_disjoint(4, 9).obstacles;
+    let id = client.load_scene(&good).unwrap();
+    let far = Point::new(COORD_LIMIT + 1, 0);
+    match client.distance(id, far, Point::new(0, 0)) {
+        Err(ClientError::Server(ServerError::CoordinateOutOfRange { point })) => assert_eq!(point, far),
+        other => panic!("expected a typed coordinate error, got {other:?}"),
+    }
+    let (a, b) = query_pairs(&good, 1, false, 4)[0];
+    assert_eq!(client.distance(id, a, b).unwrap(), Router::new(good).unwrap().distance(a, b).unwrap());
+    server.shutdown();
+}
+
+/// A scene reaching the corners of the coordinate domain answers exactly:
+/// vertex pairs and arbitrary points (including points on `±COORD_LIMIT`)
+/// match the Hanan-grid ground truth.
+#[test]
+fn scenes_at_the_coordinate_limit_answer_exactly() {
+    let l = COORD_LIMIT;
+    let base = uniform_disjoint(6, 3).obstacles;
+    let reach = base.iter().flat_map(|r| [r.xmin, r.ymin, r.xmax, r.ymax]).map(i64::abs).max().unwrap();
+    let k = l / 2 / reach;
+    let mut rects: Vec<Rect> = base.iter().map(|r| Rect::new(k * r.xmin, k * r.ymin, k * r.xmax, k * r.ymax)).collect();
+    rects.push(Rect::new(-l, -l, -l + k, -l + k));
+    rects.push(Rect::new(l - k, l - k, l, l));
+    let scene = ObstacleSet::new(rects);
+    let router = Router::new(scene.clone()).unwrap();
+    let verts = scene.vertices();
+    let mut pairs: Vec<(Point, Point)> =
+        verts.iter().step_by(3).flat_map(|&a| verts.iter().step_by(5).map(move |&b| (a, b))).collect();
+    let corners = [Point::new(-l, l), Point::new(l, -l), Point::new(0, l), Point::new(-l, 0)];
+    for &c in &corners {
+        pairs.extend(verts.iter().step_by(4).map(|&v| (c, v)));
+        pairs.extend(corners.iter().map(|&d| (c, d)));
+    }
+    let answers = router.distances(&pairs).unwrap();
+    for (&(a, b), &d) in pairs.iter().zip(&answers) {
+        assert_eq!(d, ground_truth_distance(&scene, a, b), "{a:?} -> {b:?}");
+        assert_eq!(router.distance(a, b).unwrap(), d, "{a:?} -> {b:?}");
+    }
+}
+
 fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> RspError {
-    match selector % 9 {
+    match selector % 10 {
         0 => RspError::OverlappingObstacles(DisjointnessViolation {
             first: id_a,
             second: id_b,
@@ -175,6 +248,7 @@ fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> Rsp
         5 => RspError::PointInsideObstacle { point: Point::new(x, y), obstacle: id_b },
         6 => RspError::DegenerateObstacle(id_a),
         7 => RspError::InvalidDelta(DeltaError::RemoveOutOfRange { id: id_a, len: id_b }),
+        8 => RspError::CoordinateOutOfRange(Point::new(x, y)),
         _ => RspError::ThreadPool(format!("pool of {id_a} threads unavailable")),
     }
 }
@@ -187,7 +261,7 @@ proptest! {
     /// `RspError` rendering identically (the evidence is intact).
     #[test]
     fn every_rsp_error_survives_the_wire(
-        selector in 0u8..9,
+        selector in 0u8..10,
         x in -1000i64..1000,
         y in -1000i64..1000,
         id_a in 0usize..10_000,
