@@ -5,16 +5,16 @@
 //! [`RspService`] with mixed traffic — coalesced single `distance` calls
 //! interleaved with pre-batched 16-query `batch_distances` calls over four
 //! resident scenes — and every call's wall-clock latency is recorded.  For
-//! each (shards, admission window) configuration the bench reports
-//! throughput (QPS) and the p50 / p99 / p999 latency percentiles.
+//! each shard count the bench reports throughput (QPS) and the p50 / p99 /
+//! p999 latency percentiles.
 //!
 //! The per-configuration measurement time honours `CRITERION_BUDGET_MS`
 //! (default 300 ms, matching the vendored criterion), so the CI smoke run
 //! (`=10`) finishes in well under a second.
 //!
 //! Caveat for reading the numbers: shard scaling needs cores.  On a 1-CPU
-//! container the shard counts mostly measure the coalescer's windowing, not
-//! parallel dispatch.
+//! container the shard counts mostly measure the coalescer's group commit,
+//! not parallel dispatch.
 
 use rsp_server::{RspService, SceneId, ServiceConfig};
 use rsp_workload::{query_pairs, uniform_disjoint};
@@ -45,9 +45,8 @@ struct Loaded {
 
 /// Build a service, load and pre-warm every scene (builds happen outside
 /// the timed section), and pre-generate each scene's mixed query pairs.
-fn setup(shards: usize, window: Duration) -> Loaded {
-    let config = ServiceConfig { shards, batch_window: window, ..ServiceConfig::default() };
-    let service = Arc::new(RspService::new(config));
+fn setup(shards: usize) -> Loaded {
+    let service = Arc::new(RspService::new(ServiceConfig { shards, ..ServiceConfig::default() }));
     let mut scenes = Vec::new();
     for seed in 0..SCENES as u64 {
         let w = uniform_disjoint(24, 40 + seed);
@@ -109,20 +108,16 @@ fn main() {
         "e12_server_load: {CLIENTS} clients, {SCENES} scenes, mixed traffic (3:1 single:batch16), {} ms/config",
         measure.as_millis()
     );
-    println!("{:<28} {:>10} {:>10} {:>10} {:>10}", "config", "qps", "p50_us", "p99_us", "p999_us");
+    println!("{:<12} {:>10} {:>10} {:>10} {:>10}", "config", "qps", "p50_us", "p99_us", "p999_us");
     for &shards in &[1usize, 2, 4] {
-        for &window_us in &[0u64, 200] {
-            let loaded = setup(shards, Duration::from_micros(window_us));
-            let (ops, elapsed, lat) = drive(&loaded, measure);
-            let qps = ops as f64 / elapsed.as_secs_f64();
-            println!(
-                "{:<28} {:>10.0} {:>10.1} {:>10.1} {:>10.1}",
-                format!("shards={shards}/window={window_us}us"),
-                qps,
-                percentile(&lat, 0.50) as f64 / 1e3,
-                percentile(&lat, 0.99) as f64 / 1e3,
-                percentile(&lat, 0.999) as f64 / 1e3,
-            );
-        }
+        let (ops, elapsed, lat) = drive(&setup(shards), measure);
+        println!(
+            "{:<12} {:>10.0} {:>10.1} {:>10.1} {:>10.1}",
+            format!("shards={shards}"),
+            ops as f64 / elapsed.as_secs_f64(),
+            percentile(&lat, 0.50) as f64 / 1e3,
+            percentile(&lat, 0.99) as f64 / 1e3,
+            percentile(&lat, 0.999) as f64 / 1e3,
+        );
     }
 }

@@ -446,8 +446,8 @@ impl Router {
     /// store bypasses planning entirely (its per-pair read is already a
     /// single array access).
     pub fn distances(&self, pairs: &[(Point, Point)]) -> Result<Vec<Dist>, RspError> {
-        // An empty batch must not force the O(n^2) oracle build: serving
-        // layers (rsp-server's admission queue) may dispatch empty windows.
+        // An empty batch must not force the O(n^2) oracle build: a caller
+        // may well pass one (an empty `BatchDistances` frame, say).
         if pairs.is_empty() {
             return Ok(Vec::new());
         }

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | wire protocol | [`protocol`] | versioned [`Request`]/[`Response`] enums, typed [`ServerError`] with evidence, length-prefixed framing |
 //! | session cache | [`session`] | `Arc<Router>` per scene hash, build-once under concurrency, bounded LRU |
-//! | admission | [`admission`] | coalesces point queries into one `Router::distances` batch per window/size budget |
+//! | admission | [`admission`] | coalesces point queries into `Router::distances` batches by group commit (whatever piled up while the last batch ran) |
 //! | shards | [`shard`] | hash-partitions scenes across N independent cache+queue pairs |
 //! | front ends | [`service`], [`server`], [`client`] | in-process engine, `std::net` TCP server, blocking typed client |
 //!

@@ -455,7 +455,8 @@ pub fn write_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), W
 }
 
 /// Read one framed message.  A clean end-of-stream at a frame boundary is
-/// [`WireError::Closed`]; EOF mid-frame is an I/O error.
+/// [`WireError::Closed`]; EOF mid-frame (including a payload shorter than
+/// its length prefix) is an I/O error.
 pub fn read_message<R: Read, T: Deserialize>(r: &mut R) -> Result<T, WireError> {
     let mut version = [0u8; 1];
     if let Err(e) = r.read_exact(&mut version) {
@@ -470,8 +471,15 @@ pub fn read_message<R: Read, T: Deserialize>(r: &mut R) -> Result<T, WireError> 
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge { len });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The length prefix is a claim, not a promise: allocate as bytes
+    // actually arrive (at most 64 KiB ahead of them), so a peer cannot pin
+    // `MAX_FRAME_LEN` per idle connection by announcing a frame it never sends.
+    let mut payload = Vec::with_capacity(len.min(64 << 10) as usize);
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        let short = format!("frame claimed {len} bytes, {} arrived", payload.len());
+        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, short).into());
+    }
     let text = String::from_utf8(payload).map_err(|e| WireError::Codec(e.to_string()))?;
     serde_json::from_str(&text).map_err(|e| WireError::Codec(e.to_string()))
 }
@@ -565,6 +573,25 @@ mod tests {
         assert_eq!(got, WireError::Closed);
         let got = read_message::<_, Request>(&mut Cursor::new(vec![PROTOCOL_VERSION, 0, 0])).unwrap_err();
         assert!(matches!(got, WireError::Io(_)), "{got:?}");
+    }
+
+    #[test]
+    fn a_frame_nested_past_the_depth_cap_is_a_codec_error() {
+        let payload = vec![b'['; 200_000];
+        let mut frame = vec![PROTOCOL_VERSION];
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&payload);
+        let got = read_message::<_, Request>(&mut Cursor::new(frame)).unwrap_err();
+        assert!(matches!(&got, WireError::Codec(msg) if msg.contains("nesting deeper than")), "{got:?}");
+    }
+
+    #[test]
+    fn a_claimed_length_the_peer_never_sends_is_an_error() {
+        let mut frame = vec![PROTOCOL_VERSION];
+        frame.extend_from_slice(&MAX_FRAME_LEN.to_be_bytes());
+        frame.extend_from_slice(b"{\"Evict\":{\"scene");
+        let got = read_message::<_, Request>(&mut Cursor::new(frame)).unwrap_err();
+        assert!(matches!(&got, WireError::Io(msg) if msg.contains("16 arrived")), "{got:?}");
     }
 
     #[test]

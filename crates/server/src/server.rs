@@ -4,23 +4,29 @@
 //! [`Request`]s and writing framed [`Response`]s (the environment has no
 //! async runtime — see the vendoring note in DESIGN.md §7).  All serving
 //! intelligence lives behind [`RspService::handle`]; this module only owns
-//! sockets and thread lifecycles.  [`Server::shutdown`] (also run on drop)
-//! closes the listener and every open connection, then joins all threads.
+//! sockets and thread lifecycles.  A closed connection releases its socket
+//! clone at once and its thread handle on the next accept, so reconnecting
+//! clients cannot exhaust file descriptors.  [`Server::shutdown`] (also run
+//! on drop) closes the listener and every open connection, then joins all
+//! threads.
 
 use crate::protocol::{read_message, write_message, Request, WireError};
 use crate::service::RspService;
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 struct ServerShared {
     service: RspService,
     shutdown: AtomicBool,
-    /// Clones of every live connection's stream, so shutdown can unblock
-    /// reader threads by closing their sockets.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Clones of every live connection's stream, keyed by connection id, so
+    /// shutdown can unblock reader threads by closing their sockets.  Each
+    /// connection removes its own entry when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running TCP server.  Dropping it shuts the server down.
@@ -38,7 +44,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared =
-            Arc::new(ServerShared { service, shutdown: AtomicBool::new(false), conns: Mutex::new(Vec::new()) });
+            Arc::new(ServerShared { service, shutdown: AtomicBool::new(false), conns: Mutex::new(HashMap::new()) });
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
         let accept_conn_threads = Arc::clone(&conn_threads);
@@ -70,7 +76,7 @@ impl Server {
             let _ = handle.join();
         }
         // Unblock connection readers by closing their sockets.
-        for stream in self.shared.conns.lock().expect("server conns poisoned").drain(..) {
+        for (_, stream) in self.shared.conns.lock().expect("server conns poisoned").drain() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
         let handles: Vec<JoinHandle<()>> =
@@ -88,40 +94,84 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, threads: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream else {
+            // Out of descriptors (or a transient accept error): back off
+            // rather than spin until a connection closes.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
         let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("server conns poisoned").push(clone);
+            shared.conns.lock().expect("server conns poisoned").insert(id, clone);
         }
         let conn_shared = Arc::clone(shared);
         let spawned =
-            std::thread::Builder::new().name("rsp-conn".into()).spawn(move || serve_conn(stream, &conn_shared));
+            std::thread::Builder::new().name("rsp-conn".into()).spawn(move || serve_conn(id, stream, &conn_shared));
+        let mut threads = threads.lock().expect("server threads poisoned");
+        threads.retain(|handle| !handle.is_finished());
         if let Ok(handle) = spawned {
-            threads.lock().expect("server threads poisoned").push(handle);
+            threads.push(handle);
         }
     }
 }
 
-/// One connection: a strict request/response loop.  Returns (closing the
-/// connection) on peer disconnect, any framing error, or server shutdown.
-fn serve_conn(mut stream: TcpStream, shared: &Arc<ServerShared>) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+/// One connection: a strict request/response loop.  Ends (closing the
+/// connection and dropping its entry in `conns`) on peer disconnect, any
+/// framing error, or server shutdown.
+fn serve_conn(id: u64, mut stream: TcpStream, shared: &ServerShared) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
         let request: Request = match read_message(&mut stream) {
             Ok(request) => request,
             // A peer speaking garbage gets no reply we could frame reliably;
             // closing the connection is the protocol's error signal.
-            Err(WireError::Closed) | Err(_) => return,
+            Err(WireError::Closed) | Err(_) => break,
         };
         let response = shared.service.handle(request);
         if write_message(&mut stream, &response).is_err() {
-            return;
+            break;
         }
+    }
+    shared.conns.lock().expect("server conns poisoned").remove(&id);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, ServiceConfig};
+    use rsp_geom::{ObstacleSet, Point, Rect};
+    use std::time::Instant;
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn closed_connections_release_their_socket_and_thread() {
+        let server = Server::bind("127.0.0.1:0", RspService::new(ServiceConfig::default())).unwrap();
+        for _ in 0..64 {
+            let mut client = Client::connect(server.addr()).unwrap();
+            client.stats().unwrap();
+        }
+        let open_conns = || server.shared.conns.lock().unwrap().len();
+        wait_until("every closed connection dropped its stream clone", || open_conns() == 0);
+        // Finished connection threads are pruned on each accept; a probe's
+        // own thread and its predecessor's may still be running.
+        wait_until("the 64 finished handles were pruned", || {
+            Client::connect(server.addr()).unwrap().stats().unwrap();
+            server.conn_threads.lock().unwrap().len() <= 2
+        });
+        // The server still answers on a fresh connection.
+        let mut client = Client::connect(server.addr()).unwrap();
+        let scene = client.load_scene(&ObstacleSet::new(vec![Rect::new(2, 2, 6, 10)])).unwrap();
+        assert_eq!(client.distance(scene, Point::new(0, 0), Point::new(8, 12)).unwrap(), 20);
+        wait_until("only the live client's stream is held", || open_conns() == 1);
     }
 }

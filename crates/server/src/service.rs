@@ -13,7 +13,6 @@ use rsp_core::router::Router;
 use rsp_core::store::StoreKind;
 use rsp_geom::{Dist, ObstacleSet, Point, RectiPath, SceneDelta};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tuning knobs for an [`RspService`].
 #[derive(Clone, Debug)]
@@ -26,12 +25,6 @@ pub struct ServiceConfig {
     /// residency of the shard's built routers; crossing it LRU-evicts whole
     /// sessions (the count cap above is the secondary bound).
     pub session_budget_bytes: usize,
-    /// Admission window: how long a batch stays open after its first query
-    /// (default 200 µs; zero dispatches eagerly).
-    pub batch_window: Duration,
-    /// Admission size budget: a batch dispatches as soon as it holds this
-    /// many queries (default 256).
-    pub batch_max: usize,
     /// Distance store for session construction (default [`StoreKind::Auto`]:
     /// dense for small scenes, byte-budgeted implicit rows for large ones).
     pub store: StoreKind,
@@ -39,14 +32,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            shards: 1,
-            session_capacity: 16,
-            session_budget_bytes: 1 << 30,
-            batch_window: Duration::from_micros(200),
-            batch_max: 256,
-            store: StoreKind::Auto,
-        }
+        ServiceConfig { shards: 1, session_capacity: 16, session_budget_bytes: 1 << 30, store: StoreKind::Auto }
     }
 }
 
@@ -99,7 +85,7 @@ impl RspService {
     }
 
     /// A pre-batched distance query, served by one
-    /// [`Router::distances`] call (no admission delay).
+    /// [`Router::distances`] call (it bypasses the admission queue).
     pub fn batch_distances(&self, scene: SceneId, pairs: &[(Point, Point)]) -> Result<Vec<Dist>, ServerError> {
         let router = self.shards.shard_for(scene).sessions.lookup(scene)?;
         router.distances(pairs).map_err(ServerError::from)
@@ -169,7 +155,7 @@ mod tests {
     use rsp_workload::{query_pairs, uniform_disjoint};
 
     fn service(shards: usize) -> RspService {
-        RspService::new(ServiceConfig { shards, batch_window: Duration::from_micros(100), ..ServiceConfig::default() })
+        RspService::new(ServiceConfig { shards, ..ServiceConfig::default() })
     }
 
     #[test]

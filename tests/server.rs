@@ -1,18 +1,20 @@
 //! Integration tests for the `rsp-server` serving subsystem: concurrent
 //! TCP clients sharing build-once sessions, coalesced answers agreeing
 //! bitwise with direct `Router` calls, the LRU residency bound over the
-//! wire, hostile geometry coming back as a typed error instead of a dead
-//! shard, and (property-based) the `RspError` → `ServerError` wire mapping
+//! wire, hostile geometry and hostile frames coming back as a typed error
+//! or a closed connection instead of a dead shard or process, and (property-based) the `RspError` → `ServerError` wire mapping
 //! preserving every variant's evidence through serialisation.
 
 use proptest::prelude::*;
 use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
 use rectilinear_shortest_paths::geom::{DeltaError, DisjointnessViolation, COORD_LIMIT};
 use rectilinear_shortest_paths::server::{
-    Client, ClientError, Request, Response, RspService, Server, ServerError, ServiceConfig,
+    Client, ClientError, Request, Response, RspService, Server, ServerError, ServiceConfig, PROTOCOL_VERSION,
 };
 use rectilinear_shortest_paths::workload::{query_pairs, uniform_disjoint};
 use rectilinear_shortest_paths::{ObstacleSet, Point, Rect, Router, RspError};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -28,7 +30,7 @@ fn three_concurrent_clients_share_two_sessions() {
     let direct_a = Router::new(scene_a.clone()).unwrap();
     let direct_b = Router::new(scene_b.clone()).unwrap();
 
-    let config = ServiceConfig { shards: 2, batch_window: Duration::from_micros(100), ..ServiceConfig::default() };
+    let config = ServiceConfig { shards: 2, ..ServiceConfig::default() };
     let mut server = Server::bind("127.0.0.1:0", RspService::new(config)).unwrap();
     let addr = server.addr();
 
@@ -161,6 +163,31 @@ fn degenerate_obstacle_from_the_wire_is_typed_and_leaves_the_shard_serving() {
         Ok(Response::Distance { length }) => assert_eq!(length, expect),
         other => panic!("the shard stopped answering: {other:?}"),
     }
+}
+
+/// A frame of 200 000 `[` bytes (1.2% of `MAX_FRAME_LEN`) used to overflow
+/// the connection thread's stack in the JSON parser and abort the whole
+/// process.  Now the parser's depth cap turns it into a codec error: the
+/// offending connection is closed, and the same server keeps serving.
+#[test]
+fn a_deeply_nested_frame_closes_its_connection_and_the_server_survives() {
+    let mut server = Server::bind("127.0.0.1:0", RspService::new(ServiceConfig::default())).unwrap();
+    let mut bomb = TcpStream::connect(server.addr()).unwrap();
+    let payload = vec![b'['; 200_000];
+    bomb.write_all(&[PROTOCOL_VERSION]).unwrap();
+    bomb.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+    bomb.write_all(&payload).unwrap();
+    bomb.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut reply = Vec::new();
+    assert!(bomb.read_to_end(&mut reply).is_ok(), "the server closes the connection");
+    assert!(reply.is_empty(), "an undecodable frame gets no reply");
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    let obstacles = uniform_disjoint(6, 3).obstacles;
+    let scene = client.load_scene(&obstacles).unwrap();
+    let (a, b) = query_pairs(&obstacles, 1, false, 5)[0];
+    assert_eq!(client.distance(scene, a, b).unwrap(), Router::new(obstacles).unwrap().distance(a, b).unwrap());
+    server.shutdown();
 }
 
 /// Coordinates outside `±COORD_LIMIT` are a typed error, never a panic or
