@@ -2,9 +2,10 @@
 //!
 //! A custom harness (the vendored criterion reports means only; a serving
 //! layer is judged by its *tail*): four in-process client threads drive an
-//! [`RspService`] with mixed traffic — coalesced single `distance` calls
-//! interleaved with pre-batched 16-query `batch_distances` calls over four
-//! resident scenes — and every call's wall-clock latency is recorded.  For
+//! [`RspService`] with mixed traffic — single `distance` calls, each answered
+//! on its client's thread, interleaved with pre-batched 16-query
+//! `batch_distances` calls over four resident scenes — and every call's
+//! wall-clock latency is recorded.  For
 //! each shard count the bench reports throughput (QPS) and the p50 / p99 /
 //! p999 latency percentiles.
 //!
@@ -12,9 +13,9 @@
 //! (default 300 ms, matching the vendored criterion), so the CI smoke run
 //! (`=10`) finishes in well under a second.
 //!
-//! Caveat for reading the numbers: shard scaling needs cores.  On a 1-CPU
-//! container the shard counts mostly measure the coalescer's group commit,
-//! not parallel dispatch.
+//! Caveat for reading the numbers: every query runs on its client's thread
+//! whatever the shard count, so shards only split the session-cache lock.
+//! Expect flat QPS across shard counts unless that lock is contended.
 
 use rsp_server::{RspService, SceneId, ServiceConfig};
 use rsp_workload::{query_pairs, uniform_disjoint};

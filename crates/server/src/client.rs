@@ -75,7 +75,8 @@ impl Client {
         }
     }
 
-    /// One point-to-point length query (coalesced server-side).
+    /// One point-to-point length query (answered server-side by
+    /// `Router::distance`).
     pub fn distance(&mut self, scene: SceneId, a: Point, b: Point) -> Result<Dist, ClientError> {
         match self.call(&Request::Distance { scene, a, b })? {
             Response::Distance { length } => Ok(length),

@@ -8,8 +8,8 @@
 //! |---|---|---|
 //! | wire protocol | [`protocol`] | versioned [`Request`]/[`Response`] enums, typed [`ServerError`] with evidence, length-prefixed framing |
 //! | session cache | [`session`] | `Arc<Router>` per scene hash, build-once under concurrency, bounded LRU |
-//! | admission | [`admission`] | coalesces point queries into `Router::distances` batches by group commit (whatever piled up while the last batch ran) |
-//! | shards | [`shard`] | hash-partitions scenes across N independent cache+queue pairs |
+//! | admission | [`admission`] | counts each single point query and answers it on the caller's thread with `Router::distance` |
+//! | shards | [`shard`] | hash-partitions scenes across N independent cache+admission pairs |
 //! | front ends | [`service`], [`server`], [`client`] | in-process engine, `std::net` TCP server, blocking typed client |
 //!
 //! The environment is offline and has no async runtime, so the transport is
@@ -43,7 +43,7 @@ pub mod service;
 pub mod session;
 pub mod shard;
 
-pub use admission::Coalescer;
+pub use admission::Admission;
 pub use client::{Client, ClientError};
 pub use protocol::{
     CacheStats, QueueStats, Request, Response, SceneId, ServerError, ServerStats, SessionStoreStats, ShardStats,

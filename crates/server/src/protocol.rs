@@ -49,7 +49,8 @@ pub enum Request {
         /// The scene geometry.
         obstacles: ObstacleSet,
     },
-    /// One point-to-point length query, eligible for admission coalescing.
+    /// One point-to-point length query, answered on its own by
+    /// [`Router::distance`](rsp_core::router::Router::distance).
     Distance {
         /// Scene to query (from a prior [`Request::LoadScene`]).
         scene: SceneId,
@@ -96,7 +97,7 @@ pub enum Request {
         /// The edit to apply.
         delta: SceneDelta,
     },
-    /// Snapshot the server's session-cache and admission-queue statistics.
+    /// Snapshot the server's session-cache and admission statistics.
     Stats,
     /// Drop a scene's cached session, freeing its substructures.
     Evict {
@@ -223,7 +224,9 @@ pub enum ServerError {
         /// The unresolved scene id.
         scene: SceneId,
     },
-    /// The server is shutting down and will not answer.
+    /// The server is shutting down and will not answer.  No serving path
+    /// produces it since point queries run on the caller's thread; it stays
+    /// so existing clients keep decoding every variant.
     ShuttingDown,
 }
 
@@ -304,15 +307,16 @@ pub struct CacheStats {
     pub resident_bytes: u64,
 }
 
-/// Admission-queue statistics of one shard (see
-/// [`Coalescer`](crate::admission::Coalescer)).
+/// Point-query admission statistics of one shard (see
+/// [`Admission`](crate::admission::Admission)).  Each point query is its own
+/// dispatch, so `batches == queries` and `largest_batch <= 1`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
-    /// Point queries admitted to the queue.
+    /// Single point queries answered.
     pub queries: u64,
-    /// Batches dispatched to `Router::distances`.
+    /// Dispatches; equal to `queries`.
     pub batches: u64,
-    /// Largest single dispatched batch.
+    /// Largest single dispatch: 1 once any query has run, else 0.
     pub largest_batch: u64,
 }
 
@@ -357,7 +361,7 @@ pub struct SessionStoreStats {
 pub struct ShardStats {
     /// Session-cache counters.
     pub sessions: CacheStats,
-    /// Admission-queue counters.
+    /// Point-query admission counters.
     pub queue: QueueStats,
     /// Per-session distance-store breakdown (built sessions only), ordered
     /// by scene id for a stable wire representation.

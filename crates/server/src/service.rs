@@ -2,7 +2,7 @@
 //! the [`Request`] → [`Response`] dispatcher shared by every front end.
 //!
 //! [`RspService`] is the whole subsystem minus transport: shards, session
-//! caches and admission queues, driven either directly (the in-process
+//! caches and point-query admission, driven either directly (the in-process
 //! client — also what the `e12_server_load` bench measures) or through the
 //! TCP front end in [`server`](crate::server), which is a thin framing loop
 //! around [`RspService::handle`].
@@ -42,7 +42,7 @@ pub struct RspService {
 }
 
 impl RspService {
-    /// Assemble a service (shards, caches and queue workers spin up now).
+    /// Assemble a service: its shards and their empty session caches.
     pub fn new(config: ServiceConfig) -> Self {
         RspService { shards: ShardSet::new(&config) }
     }
@@ -75,17 +75,16 @@ impl RspService {
         Ok((scene, session.instance().obstacles().len(), session.epoch()))
     }
 
-    /// One point-to-point length query, coalesced with concurrent queries on
-    /// the same shard into a single `Router` batch.
+    /// One point-to-point length query, answered on the calling thread by
+    /// [`Router::distance`] and counted by the shard's admission.
     pub fn distance(&self, scene: SceneId, a: Point, b: Point) -> Result<Dist, ServerError> {
         let shard = self.shards.shard_for(scene);
         let router = shard.sessions.lookup(scene)?;
-        let rx = shard.queue.submit(router, a, b);
-        rx.recv().unwrap_or(Err(ServerError::ShuttingDown))
+        shard.queue.distance(&router, a, b)
     }
 
     /// A pre-batched distance query, served by one
-    /// [`Router::distances`] call (it bypasses the admission queue).
+    /// [`Router::distances`] call (admission does not count it).
     pub fn batch_distances(&self, scene: SceneId, pairs: &[(Point, Point)]) -> Result<Vec<Dist>, ServerError> {
         let router = self.shards.shard_for(scene).sessions.lookup(scene)?;
         router.distances(pairs).map_err(ServerError::from)
@@ -167,7 +166,7 @@ mod tests {
         let direct = Router::new(w.obstacles.clone()).unwrap();
         let mut pairs = query_pairs(&w.obstacles, 16, true, 7);
         pairs.extend(query_pairs(&w.obstacles, 16, false, 8));
-        // Coalesced single queries.
+        // Single queries.
         for &(a, b) in &pairs {
             assert_eq!(svc.distance(scene, a, b).unwrap(), direct.distance(a, b).unwrap());
         }

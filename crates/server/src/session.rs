@@ -15,13 +15,15 @@
 //!   resident sessions' distance stores (the sum of each built router's
 //!   [`Router::memory_stats`] residency, re-checked on every resolution
 //!   because implicit stores grow as queries materialise rows); the count
-//!   cap `capacity` is the secondary bound.  Crossing either evicts
-//!   least-recently-used entries — never the session just resolved — and
+//!   cap `capacity` is the secondary bound.  Both are enforced after each
+//!   resolution: crossing either evicts cached errors first, then
+//!   least-recently-used sessions — never the router just resolved — and
 //!   counts them in [`CacheStats::evictions`].
 //! * **Error caching:** a scene that fails validation (overlapping
-//!   obstacles) caches its typed error.  This is sound because the cache key
-//!   is the geometry hash — a *fixed* scene hashes differently and loads
-//!   fresh.
+//!   obstacles) caches its typed error while the cache has room.  This is
+//!   sound because the cache key is the geometry hash — a *fixed* scene
+//!   hashes differently and loads fresh.  A cached error never displaces a
+//!   built session: at capacity it is the first victim, itself included.
 
 use crate::protocol::{CacheStats, SceneId, ServerError, SessionStoreStats};
 use rsp_core::router::Router;
@@ -98,9 +100,10 @@ impl SessionCache {
 
     /// Touch `scene` under the map lock — LRU tick plus a hit — or, when it
     /// is not resident, insert the `(cell, geometry)` that `insert` supplies
-    /// (a miss, after evicting for the count cap); `None` from `insert`
-    /// leaves the map alone and returns `None`.  The session itself is then
-    /// resolved outside the lock and the byte budget enforced.
+    /// (a miss); `None` from `insert` leaves the map alone and returns
+    /// `None`.  The session itself is then resolved outside the lock, and
+    /// only then are the count cap and byte budget enforced, so a scene that
+    /// fails validation cannot evict a built one.
     fn resolve_entry(
         &self,
         scene: SceneId,
@@ -118,12 +121,6 @@ impl SessionCache {
             } else {
                 let (cell, obstacles) = insert()?;
                 inner.stats.misses += 1;
-                if inner.entries.len() >= self.capacity {
-                    if let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) {
-                        inner.entries.remove(&victim);
-                        inner.stats.evictions += 1;
-                    }
-                }
                 let entry = Entry { cell: Arc::clone(&cell), obstacles: Arc::clone(&obstacles), last_used: tick };
                 inner.entries.insert(scene, entry);
                 inner.stats.resident = inner.entries.len() as u64;
@@ -131,7 +128,7 @@ impl SessionCache {
             }
         };
         let result = self.resolve(&cell, &stored);
-        self.enforce_budget(scene);
+        self.enforce_limits(scene, result.is_ok());
         Some(result)
     }
 
@@ -156,29 +153,29 @@ impl SessionCache {
         }
     }
 
-    /// Evict least-recently-used sessions until the summed distance-store
-    /// residency fits the byte budget, never evicting `protect` (the session
-    /// the caller just resolved — evicting it would free nothing for the
-    /// caller, who still holds its `Arc`).
-    fn enforce_budget(&self, protect: SceneId) {
-        if self.budget_bytes == usize::MAX {
-            return;
-        }
+    /// Evict until at most `capacity` entries remain and their summed
+    /// distance-store residency fits the byte budget.  Cached errors go
+    /// first, then least-recently-used sessions.  `resolved` is spared when
+    /// its build succeeded: evicting it would free nothing for the caller,
+    /// who still holds its `Arc`.
+    fn enforce_limits(&self, resolved: SceneId, built: bool) {
         let mut inner = self.inner.lock().expect("session cache poisoned");
-        while inner.entries.len() > 1 {
-            let total: usize = inner.entries.values().map(Self::session_bytes).sum();
-            if total <= self.budget_bytes {
+        loop {
+            let over_budget = self.budget_bytes != usize::MAX
+                && inner.entries.len() > 1
+                && inner.entries.values().map(Self::session_bytes).sum::<usize>() > self.budget_bytes;
+            if inner.entries.len() <= self.capacity && !over_budget {
                 break;
             }
-            let victim =
-                inner.entries.iter().filter(|&(&k, _)| k != protect).min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k);
-            match victim {
-                Some(v) => {
-                    inner.entries.remove(&v);
-                    inner.stats.evictions += 1;
-                }
-                None => break,
-            }
+            let victim = inner
+                .entries
+                .iter()
+                .filter(|&(&k, _)| !(built && k == resolved))
+                .min_by_key(|(_, e)| (!matches!(e.cell.get(), Some(Err(_))), e.last_used))
+                .map(|(&k, _)| k);
+            let Some(victim) = victim else { break };
+            inner.entries.remove(&victim);
+            inner.stats.evictions += 1;
         }
         inner.stats.resident = inner.entries.len() as u64;
     }
@@ -383,6 +380,23 @@ mod tests {
         let (_, second) = cache.load(&bad);
         assert_eq!(second.err(), cache.lookup(id).err());
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn invalid_scenes_never_evict_built_sessions() {
+        let cache = SessionCache::new(2);
+        let (id0, r0) = cache.load(&scene(0));
+        let (id1, r1) = cache.load(&scene(100));
+        assert!(r0.is_ok() && r1.is_ok());
+        for offset in [1000, 2000, 3000] {
+            let overlapping =
+                ObstacleSet::new(vec![Rect::new(offset, 0, offset + 4, 4), Rect::new(offset + 2, 2, offset + 6, 6)]);
+            let (_, bad) = cache.load(&overlapping);
+            assert!(matches!(bad.err(), Some(ServerError::OverlappingObstacles { .. })));
+        }
+        assert!(cache.lookup(id0).is_ok(), "a failed load must not evict a valid tenant");
+        assert!(cache.lookup(id1).is_ok(), "a failed load must not evict a valid tenant");
+        assert_eq!(cache.stats().resident, 2);
     }
 
     #[test]

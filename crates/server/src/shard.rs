@@ -2,30 +2,30 @@
 //!
 //! Multi-tenant load must not funnel through one lock.  A [`ShardSet`]
 //! partitions scenes by their stable hash across `N` [`Shard`]s, each owning
-//! its *own* session cache and its *own* admission queue (with its own
-//! dispatch thread) — so tenants on different shards contend on nothing.
+//! its *own* session cache and its *own* admission counters — so tenants on
+//! different shards contend on nothing.
 //! Scene-to-shard assignment is pure (`scene_hash % N`), which keeps routing
 //! stateless: any front end holding the scene id can compute the shard.
 
-use crate::admission::Coalescer;
+use crate::admission::Admission;
 use crate::protocol::{SceneId, ShardStats};
 use crate::session::SessionCache;
 use crate::ServiceConfig;
 
-/// One independent serving partition: a session cache plus an admission
-/// queue, owned exclusively (no cross-shard locks).
+/// One independent serving partition: a session cache plus point-query
+/// admission, owned exclusively (no cross-shard locks).
 pub struct Shard {
     /// This shard's session cache.
     pub sessions: SessionCache,
-    /// This shard's batching admission queue.
-    pub queue: Coalescer,
+    /// This shard's point-query admission (answers on the caller's thread).
+    pub queue: Admission,
 }
 
 impl Shard {
     fn new(config: &ServiceConfig) -> Self {
         Shard {
             sessions: SessionCache::with_limits(config.session_capacity, config.session_budget_bytes, config.store),
-            queue: Coalescer::new(),
+            queue: Admission::default(),
         }
     }
 

@@ -17,7 +17,7 @@
 //!
 //! A third layer, [`server`], wraps `Router` sessions in a sharded,
 //! batching query-serving subsystem (wire protocol, LRU session cache,
-//! admission coalescing, TCP front end) — see `rsp_server`'s crate docs.
+//! point-query admission, TCP front end) — see `rsp_server`'s crate docs.
 //!
 //! ## Quickstart
 //!

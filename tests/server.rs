@@ -1,9 +1,10 @@
 //! Integration tests for the `rsp-server` serving subsystem: concurrent
-//! TCP clients sharing build-once sessions, coalesced answers agreeing
-//! bitwise with direct `Router` calls, the LRU residency bound over the
-//! wire, hostile geometry and hostile frames coming back as a typed error
-//! or a closed connection instead of a dead shard or process, and (property-based) the `RspError` → `ServerError` wire mapping
-//! preserving every variant's evidence through serialisation.
+//! TCP clients sharing build-once sessions, single and batched answers
+//! agreeing bitwise with direct `Router` calls, the LRU residency bound over
+//! the wire, hostile geometry and hostile frames coming back as a typed
+//! error or a closed connection instead of a dead shard or process, and
+//! (property-based) the `RspError` → `ServerError` wire mapping preserving
+//! every variant's evidence through serialisation.
 
 use proptest::prelude::*;
 use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
@@ -19,8 +20,8 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-/// Three concurrent TCP clients over two scenes: every answer (coalesced
-/// singles, pre-batched, paths) must agree with a direct `Router` on the
+/// Three concurrent TCP clients over two scenes: every answer (singles,
+/// pre-batched, paths) must agree with a direct `Router` on the
 /// same geometry, and the two scenes must build exactly twice no matter
 /// how many clients load them.
 #[test]
@@ -45,7 +46,7 @@ fn three_concurrent_clients_share_two_sessions() {
             let scene = client.load_scene(&obstacles).unwrap();
             assert_eq!(scene, obstacles.scene_hash());
 
-            // Coalesced single queries: bitwise-identical to direct calls.
+            // Single queries: bitwise-identical to direct calls.
             let mut pairs = query_pairs(&obstacles, 12, true, direct_seed + worker as u64);
             pairs.extend(query_pairs(&obstacles, 12, false, direct_seed + 10 + worker as u64));
             for &(a, b) in &pairs {
@@ -132,11 +133,10 @@ fn lru_bound_caps_resident_sessions_over_tcp() {
     server.shutdown();
 }
 
-/// Build one of each `RspError` variant from sampled evidence.
 /// A zero-width rectangle decoded from a client frame (serde bypasses
 /// `Rect::new`'s assert) must come back as a typed error, not reach the
-/// sweep and kill the shard's coalescer worker: a valid point query on the
-/// same (only) shard must still answer within a deadline.
+/// sweep and panic: a valid point query on the same (only) shard must
+/// still answer within a deadline.
 #[test]
 fn degenerate_obstacle_from_the_wire_is_typed_and_leaves_the_shard_serving() {
     let service = Arc::new(RspService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() }));
@@ -260,6 +260,7 @@ fn scenes_at_the_coordinate_limit_answer_exactly() {
     }
 }
 
+/// Build one of each `RspError` variant from sampled evidence.
 fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> RspError {
     match selector % 10 {
         0 => RspError::OverlappingObstacles(DisjointnessViolation {
