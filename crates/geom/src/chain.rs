@@ -86,18 +86,27 @@ pub struct Chain {
 }
 
 // The monotonicity cache is derived data: serialize the vertex list only
-// and rebuild the signs through `Chain::new` on the way in, so no
+// and rebuild the signs through `Chain::try_new` on the way in, so no
 // serialized input can desynchronise the binary-search fast path (and the
-// wire format stays the pre-cache one).
+// wire format stays the pre-cache one).  A diagonal step in untrusted input
+// is a decode error, not a panic.
 impl Serialize for Chain {
     fn to_value(&self) -> serde::Value {
         self.pts.to_value()
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.pts.encode(out)
     }
 }
 
 impl Deserialize for Chain {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<Point>::from_value(v).map(Chain::new)
+        Vec::<Point>::from_value(v).and_then(Chain::from_untrusted)
+    }
+
+    fn decode(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        Vec::<Point>::decode(r).and_then(Chain::from_untrusted)
     }
 }
 
@@ -106,13 +115,24 @@ impl Chain {
     /// merged; repeated points are dropped.  Panics if a pair of consecutive
     /// points is not axis-aligned.
     pub fn new(pts: Vec<Point>) -> Self {
+        match Chain::try_new(pts) {
+            Ok(chain) => chain,
+            Err((a, b)) => panic!("chain segments must be axis-parallel: {a:?} -> {b:?}"),
+        }
+    }
+
+    /// [`Chain::new`] for vertices that may not be axis-aligned: the first
+    /// diagonal step comes back as its two endpoints instead of panicking.
+    pub fn try_new(pts: Vec<Point>) -> Result<Self, (Point, Point)> {
         let mut out: Vec<Point> = Vec::with_capacity(pts.len());
         for p in pts {
             if let Some(&last) = out.last() {
                 if last == p {
                     continue;
                 }
-                assert!(last.x == p.x || last.y == p.y, "chain segments must be axis-parallel: {:?} -> {:?}", last, p);
+                if last.x != p.x && last.y != p.y {
+                    return Err((last, p));
+                }
                 // merge collinear runs
                 if out.len() >= 2 {
                     let prev = out[out.len() - 2];
@@ -131,7 +151,12 @@ impl Chain {
             out.push(p);
         }
         let (sx, sy) = monotone_signs(&out);
-        Chain { pts: out, sx, sy }
+        Ok(Chain { pts: out, sx, sy })
+    }
+
+    /// [`Chain::try_new`] with the diagonal step as a serde error.
+    fn from_untrusted(pts: Vec<Point>) -> Result<Self, serde::Error> {
+        Chain::try_new(pts).map_err(|(a, b)| serde::Error(format!("chain step {a:?} -> {b:?} is not axis-parallel")))
     }
 
     /// Chain consisting of a single point.
@@ -534,6 +559,17 @@ mod tests {
     #[should_panic]
     fn construction_rejects_diagonal() {
         Chain::new(vec![pt(0, 0), pt(1, 1)]);
+    }
+
+    #[test]
+    fn decoding_a_diagonal_step_is_an_error_not_a_panic() {
+        assert_eq!(Chain::try_new(vec![pt(0, 0), pt(0, 2), pt(1, 3)]), Err((pt(0, 2), pt(1, 3))));
+        let diagonal = vec![pt(0, 0), pt(1, 1)];
+        let err = serde_json::from_str::<Chain>(&serde_json::to_string(&diagonal).unwrap()).unwrap_err();
+        assert!(err.0.contains("not axis-parallel"), "{err:?}");
+        let err = serde::from_bytes::<Chain>(&serde::to_bytes(&diagonal)).unwrap_err();
+        assert!(err.0.contains("not axis-parallel"), "{err:?}");
+        assert_eq!(serde::from_bytes::<Chain>(&serde::to_bytes(&stair())), Ok(stair()));
     }
 
     #[test]

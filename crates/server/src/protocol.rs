@@ -2,13 +2,24 @@
 //! [`ServerError`] mirror of [`RspError`], and length-prefixed framing.
 //!
 //! Every message is one *frame*: a 1-byte protocol version, a big-endian
-//! `u32` payload length, then the payload — the serde-JSON encoding of a
-//! [`Request`] or [`Response`] (externally tagged enums, the upstream serde
-//! default).  The frame layer is transport-agnostic (`std::io::Read`/
-//! `Write`), so the same codec serves `TcpStream`s and in-memory buffers.
-//! A version byte other than [`PROTOCOL_VERSION`] or a frame longer than
-//! [`MAX_FRAME_LEN`] is rejected before any payload is read, so a confused
-//! peer cannot make the server allocate unboundedly.
+//! `u32` payload length, then the payload — the binary encoding of a
+//! [`Request`] or [`Response`] by the vendored serde's
+//! [`Serialize::encode`].  That encoding is positional: an enum is its
+//! LEB128 variant index in declaration order followed by the variant's
+//! fields, a struct is its fields in declaration order, integers are
+//! (zigzag) LEB128, and a `Vec` or `String` is its LEB128 length followed by
+//! its elements, so a [`Point`] is two varints.  [`write_message`] encodes
+//! straight into the frame buffer behind a reserved header and sends the
+//! frame with one `write_all`.
+//!
+//! The frame layer is transport-agnostic (`std::io::Read`/`Write`), so the
+//! same codec serves `TcpStream`s and in-memory buffers.  A version byte
+//! other than [`PROTOCOL_VERSION`] or a frame longer than [`MAX_FRAME_LEN`]
+//! is rejected before any payload is read, so a confused peer cannot make
+//! the server allocate unboundedly.  Decoding checks every length prefix
+//! against the payload bytes left before it allocates, recurses only along
+//! the message types' own structure (so no input can drive its depth), and
+//! rejects trailing bytes.
 //!
 //! The message-enum idiom follows GladiusSlicer's `gladius_shared`
 //! `messages.rs`/`error.rs` split: one closed enum per direction, and a
@@ -28,8 +39,9 @@ use std::io::{Read, Write};
 /// [`ServerError::InvalidDelta`] mirror, and [`SessionStoreStats`] gained
 /// `epoch` plus the delta-reuse counters.  v5: the
 /// [`ServerError::DegenerateObstacle`] mirror.  v6: the
-/// [`ServerError::CoordinateOutOfRange`] mirror.)
-pub const PROTOCOL_VERSION: u8 = 6;
+/// [`ServerError::CoordinateOutOfRange`] mirror.  v7: binary payloads
+/// replace JSON text; the message types are unchanged.)
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Upper bound on a frame's payload length in bytes (16 MiB).
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
@@ -416,7 +428,10 @@ pub enum WireError {
         /// Declared length.
         len: u32,
     },
-    /// The payload was not valid JSON for the expected message type.
+    /// The payload is not a valid binary encoding of the expected message
+    /// type: an unknown variant index, a malformed or out-of-range integer,
+    /// a length past the payload's end, invalid UTF-8, a diagonal path step,
+    /// or bytes left over after the message.
     Codec(String),
 }
 
@@ -444,16 +459,20 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Write one framed message: version byte, big-endian length, JSON payload.
+/// Bytes before the payload: the version byte and the big-endian length.
+const HEADER_LEN: usize = 5;
+
+/// Write one framed message: version byte, big-endian length, binary
+/// payload, all in one `write_all`.
 pub fn write_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), WireError> {
-    let text = serde_json::to_string(msg).map_err(|e| WireError::Codec(e.to_string()))?;
-    let bytes = text.as_bytes();
-    if bytes.len() > MAX_FRAME_LEN as usize {
-        return Err(WireError::FrameTooLarge { len: bytes.len() as u32 });
+    let mut frame = vec![PROTOCOL_VERSION, 0, 0, 0, 0];
+    msg.encode(&mut frame);
+    let len = u32::try_from(frame.len() - HEADER_LEN).unwrap_or(u32::MAX);
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::FrameTooLarge { len });
     }
-    w.write_all(&[PROTOCOL_VERSION])?;
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    frame[1..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -484,13 +503,13 @@ pub fn read_message<R: Read, T: Deserialize>(r: &mut R) -> Result<T, WireError> 
         let short = format!("frame claimed {len} bytes, {} arrived", payload.len());
         return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, short).into());
     }
-    let text = String::from_utf8(payload).map_err(|e| WireError::Codec(e.to_string()))?;
-    serde_json::from_str(&text).map_err(|e| WireError::Codec(e.to_string()))
+    serde::from_bytes(&payload).map_err(|e| WireError::Codec(e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rsp_geom::Rect;
     use std::io::Cursor;
 
@@ -579,6 +598,9 @@ mod tests {
         assert!(matches!(got, WireError::Io(_)), "{got:?}");
     }
 
+    /// 200 000 `[` bytes used to overflow the stack of the JSON parser
+    /// that v6 frames went through.  The binary decoder recurses only along
+    /// the message types, so the frame is just an unknown variant index.
     #[test]
     fn a_frame_nested_past_the_depth_cap_is_a_codec_error() {
         let payload = vec![b'['; 200_000];
@@ -586,7 +608,149 @@ mod tests {
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         frame.extend_from_slice(&payload);
         let got = read_message::<_, Request>(&mut Cursor::new(frame)).unwrap_err();
-        assert!(matches!(&got, WireError::Codec(msg) if msg.contains("nesting deeper than")), "{got:?}");
+        assert!(matches!(&got, WireError::Codec(_)), "{got:?}");
+    }
+
+    fn framed<T: Serialize>(msg: &T) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_message(&mut bytes, msg).unwrap();
+        bytes
+    }
+
+    /// A frame around a hand-built payload.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![PROTOCOL_VERSION];
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn a_count_past_the_payload_is_refused_before_allocating() {
+        // `BatchDistances` (variant 3) on scene 1 claiming 2^40 pairs: a
+        // 16-byte frame whose count alone would be a 32 TiB allocation.
+        let mut payload = vec![3, 1];
+        serde::write_varint(&mut payload, 1 << 40);
+        payload.extend_from_slice(&[0, 0, 0]);
+        let frame = frame(&payload);
+        assert_eq!(frame.len(), 16);
+        let got = read_message::<_, Request>(&mut Cursor::new(frame)).unwrap_err();
+        assert!(matches!(&got, WireError::Codec(msg) if msg.contains("exceeds")), "{got:?}");
+    }
+
+    #[test]
+    fn trailing_bytes_are_a_codec_error() {
+        let got = read_message::<_, Request>(&mut Cursor::new(frame(&[6, 0]))).unwrap_err();
+        assert!(matches!(&got, WireError::Codec(msg) if msg.contains("trailing")), "{got:?}");
+    }
+
+    /// One pinned frame per [`Request`] variant.  The encoding is positional,
+    /// so reordering variants or fields changes these bytes: bump
+    /// [`PROTOCOL_VERSION`] and re-pin them together.
+    #[test]
+    fn request_frames_match_their_golden_bytes() {
+        let golden: [(Request, &[u8]); 8] = [
+            (Request::LoadScene { obstacles: ObstacleSet::new(vec![Rect::new(0, 0, 2, 2)]) }, &[0, 1, 0, 0, 4, 4]),
+            (Request::Distance { scene: 42, a: Point::new(-1, 3), b: Point::new(9, 0) }, &[1, 42, 1, 6, 18, 0]),
+            (Request::Path { scene: 7, source: Point::new(0, 0), target: Point::new(2, 2) }, &[2, 7, 0, 0, 4, 4]),
+            (
+                Request::BatchDistances { scene: 300, pairs: vec![(Point::new(0, 0), Point::new(5, 5))] },
+                &[3, 0xac, 0x02, 1, 0, 0, 10, 10],
+            ),
+            (Request::BatchPaths { scene: 1, pairs: Vec::new() }, &[4, 1, 0]),
+            (
+                Request::UpdateScene {
+                    base: 42,
+                    delta: SceneDelta { insert: vec![Rect::new(10, 10, 12, 12)], remove: vec![0] },
+                },
+                &[5, 42, 1, 20, 20, 24, 24, 1, 0],
+            ),
+            (Request::Stats, &[6]),
+            (Request::Evict { scene: 3 }, &[7, 3]),
+        ];
+        assert_eq!(PROTOCOL_VERSION, 7, "re-pin the golden bytes when the version changes");
+        for (request, payload) in golden {
+            assert_eq!(framed(&request), frame(payload), "{request:?}");
+            roundtrip(&request);
+        }
+    }
+
+    #[test]
+    fn a_path_with_a_diagonal_step_is_a_codec_error() {
+        // `Response::Path` (variant 2) holding the two points (0,0), (1,1),
+        // and `Response::Paths` (variant 4) holding that one path.
+        for payload in [&[2, 2, 0, 0, 2, 2][..], &[4, 1, 2, 0, 0, 2, 2]] {
+            let got = read_message::<_, Response>(&mut Cursor::new(frame(payload))).unwrap_err();
+            assert!(matches!(&got, WireError::Codec(msg) if msg.contains("not axis-parallel")), "{got:?}");
+        }
+    }
+
+    /// Decode `bytes` as a `T` frame: it must be `Ok` or a [`WireError`], and
+    /// an `Ok` value must survive its own round trip.
+    fn decodes_or_errs<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(bytes: &[u8]) {
+        if let Ok(msg) = read_message::<_, T>(&mut Cursor::new(bytes)) {
+            roundtrip(&msg);
+        }
+    }
+
+    fn sample_frames() -> Vec<Vec<u8>> {
+        let pairs = vec![(Point::new(0, 0), Point::new(5, 5)), (Point::new(-2, 2), Point::new(4, 8))];
+        let requests = [
+            Request::LoadScene { obstacles: scene() },
+            Request::Distance { scene: 42, a: Point::new(-1, 3), b: Point::new(9, 0) },
+            Request::BatchDistances { scene: u64::MAX, pairs: pairs.clone() },
+            Request::BatchPaths { scene: 1, pairs },
+            Request::UpdateScene {
+                base: 42,
+                delta: SceneDelta { insert: vec![Rect::new(1, 1, 3, 3)], remove: vec![0] },
+            },
+            Request::Evict { scene: 3 },
+        ];
+        let path = RectiPath::new(vec![Point::new(0, 0), Point::new(0, 4), Point::new(3, 4)]);
+        let responses = [
+            Response::SceneUpdated { scene: 12, obstacles: 3, epoch: 2 },
+            Response::Distances { lengths: vec![1, -2, 300] },
+            Response::Path { path: path.clone() },
+            Response::Paths { paths: vec![path.clone(), path] },
+            Response::Error { error: ServerError::ThreadPool { message: "né".into() } },
+            Response::Error { error: ServerError::PointInsideObstacle { point: Point::new(3, -5), obstacle: 2 } },
+        ];
+        requests.iter().map(framed).chain(responses.iter().map(framed)).collect()
+    }
+
+    #[test]
+    fn every_truncation_and_byte_mutation_of_a_valid_frame_decodes_or_errs() {
+        for valid in sample_frames() {
+            for cut in 0..valid.len() {
+                decodes_or_errs::<Request>(&valid[..cut]);
+                decodes_or_errs::<Response>(&valid[..cut]);
+            }
+            for at in 0..valid.len() {
+                for byte in 0..=255u8 {
+                    let mut mutated = valid.clone();
+                    mutated[at] = byte;
+                    decodes_or_errs::<Request>(&mutated);
+                    decodes_or_errs::<Response>(&mutated);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes — raw, behind a valid header, and behind a valid
+        /// header and variant index — never panic the decoder, and whatever
+        /// decodes re-encodes to itself.
+        #[test]
+        fn random_bytes_decode_or_err(variant in 0u8..9, bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+            let mut tagged = vec![variant];
+            tagged.extend_from_slice(&bytes);
+            for candidate in [bytes.clone(), frame(&bytes), frame(&tagged)] {
+                decodes_or_errs::<Request>(&candidate);
+                decodes_or_errs::<Response>(&candidate);
+            }
+        }
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //! the wire, hostile geometry and hostile frames coming back as a typed
 //! error or a closed connection instead of a dead shard or process, and
 //! (property-based) the `RspError` → `ServerError` wire mapping preserving
-//! every variant's evidence through serialisation.
+//! every variant's evidence through a wire frame.
 
 use proptest::prelude::*;
 use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
 use rectilinear_shortest_paths::geom::{DeltaError, DisjointnessViolation, COORD_LIMIT};
+use rectilinear_shortest_paths::server::protocol::{read_message, write_message};
 use rectilinear_shortest_paths::server::{
-    Client, ClientError, Request, Response, RspService, Server, ServerError, ServiceConfig, PROTOCOL_VERSION,
+    Client, ClientError, Request, Response, RspService, Server, ServerError, ServiceConfig, WireError, PROTOCOL_VERSION,
 };
 use rectilinear_shortest_paths::workload::{query_pairs, uniform_disjoint};
 use rectilinear_shortest_paths::{ObstacleSet, Point, Rect, Router, RspError};
+use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -133,6 +135,13 @@ fn lru_bound_caps_resident_sessions_over_tcp() {
     server.shutdown();
 }
 
+/// Send `msg` through a wire frame and read it back.
+fn over_the_wire<T: Serialize + Deserialize>(msg: &T) -> T {
+    let mut frame = Vec::new();
+    write_message(&mut frame, msg).expect("encode");
+    read_message(&mut &frame[..]).expect("decode")
+}
+
 /// A zero-width rectangle decoded from a client frame (serde bypasses
 /// `Rect::new`'s assert) must come back as a typed error, not reach the
 /// sweep and panic: a valid point query on the same (only) shard must
@@ -141,8 +150,8 @@ fn lru_bound_caps_resident_sessions_over_tcp() {
 fn degenerate_obstacle_from_the_wire_is_typed_and_leaves_the_shard_serving() {
     let service = Arc::new(RspService::new(ServiceConfig { shards: 1, ..ServiceConfig::default() }));
     let flat = ObstacleSet::new(vec![Rect { xmin: 0, ymin: 0, xmax: 0, ymax: 4 }]);
-    let frame = serde_json::to_string(&Request::LoadScene { obstacles: flat.clone() }).expect("serialise");
-    let decoded: Request = serde_json::from_str(&frame).expect("a degenerate rect still decodes");
+    let decoded: Request = over_the_wire(&Request::LoadScene { obstacles: flat.clone() });
+    assert_eq!(decoded, Request::LoadScene { obstacles: flat.clone() }, "a degenerate rect still decodes");
     let rejected = Response::Error { error: ServerError::DegenerateObstacle { obstacle: 0 } };
     assert_eq!(service.handle(decoded), rejected);
     // A point query naming the rejected scene gets the same typed error.
@@ -260,6 +269,37 @@ fn scenes_at_the_coordinate_limit_answer_exactly() {
     }
 }
 
+/// A reply frame holding a path with a diagonal step used to panic the
+/// client inside `Chain::new`.  Now it is a codec error on that call.
+#[test]
+fn a_malformed_path_response_is_a_client_error_not_a_panic() {
+    // `Response::Path` (variant 2) holding (0,0) -> (1,1), then
+    // `Response::Paths` (variant 4) holding that one path.
+    let replies: [&[u8]; 2] = [&[2, 2, 0, 0, 2, 2], &[4, 1, 2, 0, 0, 2, 2]];
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        for payload in replies {
+            let _: Request = read_message(&mut stream).unwrap();
+            stream.write_all(&[PROTOCOL_VERSION]).unwrap();
+            stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+            stream.write_all(payload).unwrap();
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let (a, b) = (Point::new(0, 0), Point::new(1, 1));
+    let single = client.path(7, a, b).unwrap_err();
+    let batch = client.batch_paths(7, &[(a, b)]).unwrap_err();
+    peer.join().unwrap();
+    for got in [single, batch] {
+        assert!(
+            matches!(&got, ClientError::Wire(WireError::Codec(msg)) if msg.contains("not axis-parallel")),
+            "{got:?}"
+        );
+    }
+}
+
 /// Build one of each `RspError` variant from sampled evidence.
 fn rsp_error_from(selector: u8, x: i64, y: i64, id_a: usize, id_b: usize) -> RspError {
     match selector % 10 {
@@ -285,7 +325,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Every `RspError` variant maps onto a `ServerError`, survives a
-    /// serialize → deserialize round trip bit-for-bit, and maps back to an
+    /// wire frame round trip bit-for-bit, and maps back to an
     /// `RspError` rendering identically (the evidence is intact).
     #[test]
     fn every_rsp_error_survives_the_wire(
@@ -297,8 +337,7 @@ proptest! {
     ) {
         let original = rsp_error_from(selector, x, y, id_a, id_b);
         let wire = ServerError::from(original.clone());
-        let json = serde_json::to_string(&wire).expect("serialise");
-        let decoded: ServerError = serde_json::from_str(&json).expect("deserialise");
+        let decoded: ServerError = over_the_wire(&wire);
         prop_assert_eq!(&decoded, &wire);
         // The evidence survives: mapping back yields an error that renders
         // exactly like the original (Display carries every field).
