@@ -33,7 +33,10 @@
 //!
 //! Every fallible entry point returns [`RspError`]; batch queries
 //! ([`Router::distances`], [`Router::paths`]) route vertex pairs to the
-//! `O(1)` matrix lookup and fan the rest out over rayon.
+//! `O(1)` matrix lookup and deduplicate the rest.  A small batch of those
+//! runs on the caller's thread, since handing it to the pool costs more
+//! than the work; a larger one fans out over rayon.  Point reductions on an
+//! implicit store, which may sweep a row, always fan out.
 //!
 //! ```
 //! use rsp_core::router::Router;
@@ -63,7 +66,7 @@ use rayon::prelude::*;
 use rsp_geom::rayshoot::ShootIndex;
 use rsp_geom::{Chain, Coord, Dist, ObstacleSet, Point, Rect, RectiPath, SceneDelta, COORD_LIMIT};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// How many times each lazily built substructure has actually been
 /// constructed, exposed so tests (and profilers) can assert the
@@ -112,6 +115,29 @@ fn check_domain(rects: &[Rect]) -> Result<(), RspError> {
         Some(p) => Err(RspError::CoordinateOutOfRange(p)),
         None => Ok(()),
     }
+}
+
+/// The most independent per-pair jobs (distinct point reductions in
+/// [`Router::distances`], distinct path extractions in [`Router::paths`]) a
+/// batch runs on the caller's thread instead of handing them to the pool.
+///
+/// The bound is where the two cost the same on an idle machine.  Measured
+/// in-process at n = 256 on a dense store (2 cores, release, a caller outside
+/// a 2-worker pool), a point reduction costs about 0.3 µs and the hand-off
+/// about 8 µs per batch: 64 pairs take 20 µs inline and 22 µs pooled, 128
+/// pairs 37 µs and 25 µs.  A path extraction costs about 0.8 µs, and fanning
+/// out 128 of them was no faster than running them inline.  Under serving
+/// load the hand-off costs more, since the connection threads already keep
+/// the cores busy (the traced serving path spent 24 µs of fan-out self time
+/// per 16-pair batch), which only moves the break-even further up.
+const INLINE_MAX_PAIRS: usize = 64;
+
+/// Whether a batch of `unique` independent per-pair jobs goes to the pool.
+/// `may_sweep` marks jobs that can run a Section 9 row sweep (point
+/// reductions on an implicit store), whose cost the bound above does not
+/// describe; those always fan out.
+fn fans_out(unique: usize, may_sweep: bool) -> bool {
+    may_sweep || unique > INLINE_MAX_PAIRS
 }
 
 /// Configures and validates a [`Router`].  Created by [`Router::builder`].
@@ -333,7 +359,8 @@ impl Router {
         }
     }
 
-    /// Run `f` inside this router's pinned thread pool, if any.
+    /// Run `f` inside this router's pinned thread pool, if any.  A caller
+    /// outside the pool blocks until a worker has run `f`.
     fn in_pool<R>(&self, f: impl FnOnce() -> R + Send) -> R
     where
         R: Send,
@@ -376,6 +403,13 @@ impl Router {
     fn trees_handle(&self) -> &RwLock<ShortestPathTrees> {
         self.trees
             .get_or_init(|| RwLock::new(ShortestPathTrees::from_oracle(Arc::clone(self.oracle_handle()), Some(&[]))))
+    }
+
+    /// Read access to the path trees.  A poisoned lock is recovered: the
+    /// only writer (`ensure_trees`) inserts a tree only after its build has
+    /// returned, so a panic cannot leave a partial tree to read.
+    fn read_trees(&self) -> RwLockReadGuard<'_, ShortestPathTrees> {
+        self.trees_handle().read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Fail with [`RspError::CoordinateOutOfRange`] when `p` lies outside
@@ -434,9 +468,11 @@ impl Router {
 
     /// Batch length queries.  Pairs where both endpoints are obstacle
     /// vertices are routed to the `O(1)` matrix fast path; the remaining
-    /// pairs are deduplicated and fan out over rayon.  The output is
-    /// index-aligned with `pairs` and equals what per-pair
-    /// [`Router::distance`] calls would return.
+    /// pairs are deduplicated and reduced on the caller's thread when at
+    /// most 64 distinct pairs remain on a dense store, and over rayon
+    /// otherwise (an implicit-store reduction may sweep a row, so those
+    /// always fan out).  The output is index-aligned with `pairs` and equals
+    /// what per-pair [`Router::distance`] calls would return.
     ///
     /// Under an implicit store the vertex pairs additionally go through the
     /// batch planner ([`crate::plan`]): each query is canonicalised to its
@@ -504,8 +540,14 @@ impl Router {
             pins
         });
         let deduped = crate::plan::dedupe_point_pairs(pairs, &slow);
-        let slow_results: Vec<Dist> =
-            self.in_pool(|| deduped.unique.par_iter().map(|&(a, b)| oracle.distance_clear(a, b)).collect());
+        // Each reduction is a pure function of the oracle, so both branches
+        // yield the same answers in `deduped.unique` order.
+        let reduce = |&(a, b): &(Point, Point)| oracle.distance_clear(a, b);
+        let slow_results: Vec<Dist> = if fans_out(deduped.unique.len(), implicit.is_some()) {
+            self.in_pool(|| deduped.unique.par_iter().map(reduce).collect())
+        } else {
+            deduped.unique.iter().map(reduce).collect()
+        };
         for (d, slots) in slow_results.into_iter().zip(&deduped.slots) {
             for &slot in slots {
                 out[slot] = d;
@@ -521,13 +563,14 @@ impl Router {
     /// Make sure a shortest-path tree exists for each source vertex (callers
     /// have already resolved the points to vertices).
     fn ensure_trees(&self, sources: &[Point]) {
-        let lock = self.trees_handle();
         let missing = {
-            let guard = lock.read().expect("router tree lock poisoned");
+            let guard = self.read_trees();
             sources.iter().any(|&s| !guard.has_tree(s))
         };
         if missing {
-            let mut guard = lock.write().expect("router tree lock poisoned");
+            // Recovered for the reason `read_trees` gives: `ensure_sources`
+            // inserts trees only after every build has returned.
+            let mut guard = self.trees_handle().write().unwrap_or_else(PoisonError::into_inner);
             let trees: &mut ShortestPathTrees = &mut guard;
             let built = self.in_pool(|| trees.ensure_sources(sources));
             self.counts.trees.fetch_add(built, Ordering::Relaxed);
@@ -540,14 +583,15 @@ impl Router {
         self.vertex_index(source)?;
         self.vertex_index(target)?;
         self.ensure_trees(&[source]);
-        let guard = self.trees_handle().read().expect("router tree lock poisoned");
+        let guard = self.read_trees();
         guard.path_between(source, target).ok_or(RspError::NotAVertex(source))
     }
 
     /// Batch path reporting: builds all missing source trees in one parallel
     /// pass, deduplicates identical `(source, target)` pairs, then extracts
-    /// every distinct path once and scatters clones back.  Output is
-    /// index-aligned with `pairs`.
+    /// every distinct path once (on the caller's thread for at most 64
+    /// distinct pairs, over rayon above that) and scatters clones back.
+    /// Output is index-aligned with `pairs`.
     pub fn paths(&self, pairs: &[(Point, Point)]) -> Result<Vec<RectiPath>, RspError> {
         // As in `distances`: an empty batch touches no lazy substructure
         // (`ensure_trees(&[])` would still build the oracle via the trees
@@ -563,11 +607,16 @@ impl Router {
         self.ensure_trees(&sources);
         let all: Vec<usize> = (0..pairs.len()).collect();
         let deduped = crate::plan::dedupe_point_pairs(pairs, &all);
-        let guard = self.trees_handle().read().expect("router tree lock poisoned");
+        let guard = self.read_trees();
         let trees: &ShortestPathTrees = &guard;
-        let extracted: Vec<RectiPath> = self.in_pool(|| {
-            deduped.unique.par_iter().map(|&(s, t)| trees.path_between(s, t).expect("tree was just ensured")).collect()
-        });
+        // Extraction only reads built trees, so it follows the inline bound
+        // on both stores.
+        let extract = |&(s, t): &(Point, Point)| trees.path_between(s, t).expect("tree was just ensured");
+        let extracted: Vec<RectiPath> = if fans_out(deduped.unique.len(), false) {
+            self.in_pool(|| deduped.unique.par_iter().map(extract).collect())
+        } else {
+            deduped.unique.iter().map(extract).collect()
+        };
         let mut out: Vec<Option<RectiPath>> = vec![None; pairs.len()];
         for (path, slots) in extracted.into_iter().zip(&deduped.slots) {
             let (&last, rest) = slots.split_last().expect("every unique pair has a slot");
@@ -586,7 +635,7 @@ impl Router {
         self.vertex_index(source)?;
         self.vertex_index(target)?;
         self.ensure_trees(&[source]);
-        let guard = self.trees_handle().read().expect("router tree lock poisoned");
+        let guard = self.read_trees();
         guard.hop_count(source, target).ok_or(RspError::NotAVertex(source))
     }
 
@@ -597,7 +646,7 @@ impl Router {
         self.vertex_index(source)?;
         self.vertex_index(target)?;
         self.ensure_trees(&[source]);
-        let guard = self.trees_handle().read().expect("router tree lock poisoned");
+        let guard = self.read_trees();
         let trees: &ShortestPathTrees = &guard;
         self.in_pool(|| trees.path_chunks(source, target, chunk)).ok_or(RspError::NotAVertex(source))
     }
@@ -847,6 +896,77 @@ mod tests {
         assert_eq!(stats.row_misses, 3, "one sweep per distinct providing row");
         assert_eq!(stats.pinned_bytes, 0, "batch pins were released");
         assert!(stats.resident_bytes <= 2 * row_bytes, "budget enforced after the batch");
+    }
+
+    #[test]
+    fn only_sweeping_or_large_batches_fan_out() {
+        assert!(!fans_out(0, false));
+        assert!(!fans_out(INLINE_MAX_PAIRS, false));
+        assert!(fans_out(INLINE_MAX_PAIRS + 1, false));
+        // Implicit-store point reductions may sweep a row: they fan out at
+        // any size.
+        assert!(fans_out(1, true));
+        assert!(fans_out(INLINE_MAX_PAIRS, true));
+    }
+
+    #[test]
+    fn small_dense_batches_run_without_a_pool_worker() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let w = uniform_disjoint(8, 29);
+        let router = Router::builder(w.obstacles.clone()).store(StoreKind::Dense).threads(1).build().unwrap();
+        let points = query_pairs(&w.obstacles, 16, false, 4);
+        let verts = w.obstacles.vertices();
+        let vpairs: Vec<(Point, Point)> = (0..8).map(|i| (verts[i % 3], verts[(5 * i + 1) % verts.len()])).collect();
+        // Build the oracle and the path trees first: both run on the pool.
+        let expect_d = router.distances(&points).unwrap();
+        let expect_p = router.paths(&vpairs).unwrap();
+        let pool = Arc::clone(router.pool.as_ref().expect("threads(1) builds a pool"));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        // Occupy the pool's only worker until released (or timed out).
+        let holder = std::thread::spawn(move || {
+            pool.install(move || {
+                started_tx.send(()).unwrap();
+                release_rx.recv_timeout(Duration::from_secs(10)).is_ok()
+            })
+        });
+        started_rx.recv().unwrap();
+        // A hand-off would block here until the worker timed out.
+        let got_d = router.distances(&points).unwrap();
+        let got_p = router.paths(&vpairs).unwrap();
+        release_tx.send(()).unwrap();
+        assert!(holder.join().unwrap(), "the batches waited for the occupied worker");
+        assert_eq!(got_d, expect_d);
+        assert_eq!(got_p, expect_p);
+        for (k, &(a, b)) in points.iter().enumerate() {
+            assert_eq!(got_d[k], ground_truth_distance(&w.obstacles, a, b), "{a:?} -> {b:?}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_tree_lock_is_recovered() {
+        let w = uniform_disjoint(7, 12);
+        let router = Router::new(w.obstacles.clone()).unwrap();
+        let verts = w.obstacles.vertices();
+        let pairs: Vec<(Point, Point)> = (0..10).map(|i| (verts[i % 4], verts[(3 * i + 2) % verts.len()])).collect();
+        let _ = router.path(verts[0], verts[1]).unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = router.trees_handle().write().unwrap();
+                panic!("poison the tree lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(router.trees_handle().is_poisoned());
+        // Old and new sources both answer exactly as a fresh session does.
+        let fresh = Router::new(w.obstacles.clone()).unwrap();
+        assert_eq!(router.paths(&pairs).unwrap(), fresh.paths(&pairs).unwrap());
+        let (s, t) = (verts[5], verts[9]);
+        assert_eq!(router.path(s, t).unwrap(), fresh.path(s, t).unwrap());
+        assert_eq!(router.hop_count(s, t).unwrap(), fresh.hop_count(s, t).unwrap());
+        assert_eq!(router.path_chunks(s, t, 2).unwrap(), fresh.path_chunks(s, t, 2).unwrap());
     }
 
     #[test]

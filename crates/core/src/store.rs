@@ -33,7 +33,7 @@ use crate::seq::SingleSourceEngine;
 use rsp_geom::{Dist, ObstacleSet};
 use rsp_monge::MinPlusMatrix;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const ENTRY_BYTES: usize = std::mem::size_of::<Dist>();
 
@@ -165,11 +165,18 @@ impl ImplicitStore {
         ImplicitStore { provider, dim, cache: Mutex::new(BlockCache::new(budget_bytes)) }
     }
 
+    /// The row cache.  A poisoned lock is recovered: the cache inserts a row
+    /// only after its sweep has returned, so a panic under the guard (in a
+    /// sweep, say) cannot leave a partial row resident.
+    fn lock_cache(&self) -> MutexGuard<'_, BlockCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Row `i` (all distances from source vertex `i`), materialised on first
     /// use and resident while the byte budget allows.
     pub fn row(&self, i: usize) -> Arc<[Dist]> {
         debug_assert!(i < self.dim, "row out of range");
-        let mut cache = self.cache.lock().expect("distance row cache poisoned");
+        let mut cache = self.lock_cache();
         cache.get_or_insert_with(i as u64, || self.provider.row(i))
     }
 
@@ -184,7 +191,7 @@ impl ImplicitStore {
     /// counted per call, as before.
     pub fn distance(&self, i: usize, j: usize) -> Dist {
         debug_assert!(i < self.dim && j < self.dim, "index out of range");
-        let mut cache = self.cache.lock().expect("distance row cache poisoned");
+        let mut cache = self.lock_cache();
         if let Some(row) = cache.peek(i as u64) {
             return row[j];
         }
@@ -225,7 +232,7 @@ impl ImplicitStore {
         let mut handles: HashMap<usize, Arc<[Dist]>> = HashMap::with_capacity(distinct.len());
         let mut pinned: Vec<usize> = Vec::with_capacity(distinct.len());
         let missing: Vec<usize> = {
-            let mut cache = self.cache.lock().expect("distance row cache poisoned");
+            let mut cache = self.lock_cache();
             let budget = cache.stats().budget_bytes;
             distinct
                 .into_iter()
@@ -251,7 +258,7 @@ impl ImplicitStore {
             self.provider.force();
             missing.par_iter().map(|&i| (i, self.provider.row(i))).collect()
         };
-        let mut cache = self.cache.lock().expect("distance row cache poisoned");
+        let mut cache = self.lock_cache();
         let budget = cache.stats().budget_bytes;
         for (i, row) in built {
             let handle = cache.get_or_insert_with(i as u64, || row);
@@ -266,7 +273,7 @@ impl ImplicitStore {
 
     /// Memory accounting snapshot.
     pub fn stats(&self) -> StoreStats {
-        let cache = self.cache.lock().expect("distance row cache poisoned").stats();
+        let cache = self.lock_cache().stats();
         StoreStats {
             resident_bytes: cache.resident_bytes,
             dense_bytes: self.dim * self.dim * ENTRY_BYTES,
@@ -317,7 +324,7 @@ impl PinnedRows<'_> {
 
 impl Drop for PinnedRows<'_> {
     fn drop(&mut self) {
-        let mut cache = self.store.cache.lock().expect("distance row cache poisoned");
+        let mut cache = self.store.lock_cache();
         for &i in &self.pinned {
             cache.unpin(i as u64);
         }
@@ -407,7 +414,7 @@ impl DistanceStore {
                 let old_rows: Vec<(usize, &[Dist])> = match base.oracle.apsp().store() {
                     DistanceStore::Dense(m) => (0..m.rows()).map(|i| (i, m.row(i))).collect(),
                     DistanceStore::Implicit(s) => {
-                        resident = s.cache.lock().expect("distance row cache poisoned").snapshot();
+                        resident = s.lock_cache().snapshot();
                         resident.iter().map(|(k, row)| (*k as usize, &row[..])).collect()
                     }
                 };
@@ -463,7 +470,7 @@ impl DistanceStore {
         let (store, rows_carried) = match kind {
             StoreKind::Implicit { budget_bytes } => {
                 let store = ImplicitStore::new(provider, dim, budget_bytes);
-                let mut cache = store.cache.lock().expect("distance row cache poisoned");
+                let mut cache = store.lock_cache();
                 for (i, row) in remapped {
                     cache.seed(i as u64, row.into());
                 }
@@ -673,6 +680,39 @@ mod tests {
         assert!(pins.row(0).is_some());
         assert_eq!(store.stats().row_misses, 3);
         assert_eq!(store.stats().row_hits, 1);
+    }
+
+    #[test]
+    fn a_poisoned_row_cache_is_recovered() {
+        use crate::router::Router;
+        use rsp_geom::Point;
+        let w = uniform_disjoint(7, 19);
+        let row_bytes = 4 * w.n() * ENTRY_BYTES;
+        let kind = StoreKind::Implicit { budget_bytes: 3 * row_bytes };
+        let router = Router::builder(w.obstacles.clone()).store(kind).build().unwrap();
+        let verts = w.obstacles.vertices();
+        let mut pairs: Vec<(Point, Point)> =
+            (0..12).map(|i| (verts[i % 5], verts[(7 * i + 3) % verts.len()])).collect();
+        pairs.extend(rsp_workload::query_pairs(&w.obstacles, 8, false, 2));
+        let _ = router.distances(&pairs[..4]).unwrap();
+        let oracle = router.oracle();
+        let store = oracle.apsp().store().as_implicit().expect("implicit store");
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = store.cache.lock().unwrap();
+                panic!("poison the row cache");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(store.cache.is_poisoned());
+        // Every entry point still answers exactly as a fresh session does.
+        let fresh = Router::builder(w.obstacles.clone()).store(kind).build().unwrap();
+        assert_eq!(router.distances(&pairs).unwrap(), fresh.distances(&pairs).unwrap());
+        for &(a, b) in &pairs {
+            assert_eq!(router.distance(a, b).unwrap(), fresh.distance(a, b).unwrap(), "{a:?} -> {b:?}");
+        }
+        assert!(store.stats().resident_bytes <= 3 * row_bytes);
     }
 
     #[test]

@@ -40,8 +40,9 @@ use std::io::{Read, Write};
 /// `epoch` plus the delta-reuse counters.  v5: the
 /// [`ServerError::DegenerateObstacle`] mirror.  v6: the
 /// [`ServerError::CoordinateOutOfRange`] mirror.  v7: binary payloads
-/// replace JSON text; the message types are unchanged.)
-pub const PROTOCOL_VERSION: u8 = 7;
+/// replace JSON text; the message types are unchanged.  v8: the
+/// [`ServerError::Internal`] reply to a request whose handler panicked.)
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Upper bound on a frame's payload length in bytes (16 MiB).
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
@@ -178,7 +179,7 @@ pub enum Response {
 
 /// The wire-level error enum: every [`RspError`] variant has a mirror that
 /// preserves its evidence verbatim, plus the failure modes only a server
-/// has (unknown scene, shutdown, transport).
+/// has (unknown scene, shutdown, a panicked handler).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServerError {
     /// Mirror of [`RspError::DegenerateObstacle`].
@@ -240,6 +241,13 @@ pub enum ServerError {
     /// produces it since point queries run on the caller's thread; it stays
     /// so existing clients keep decoding every variant.
     ShuttingDown,
+    /// Handling the request panicked.  The server answers with the panic
+    /// message and keeps the connection open; the scene's session stays
+    /// usable.
+    Internal {
+        /// The panic message (or a placeholder for a non-string payload).
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -249,6 +257,7 @@ impl std::fmt::Display for ServerError {
                 write!(f, "scene {scene:#018x} is not resident (load it first)")
             }
             ServerError::ShuttingDown => write!(f, "the server is shutting down"),
+            ServerError::Internal { message } => write!(f, "internal server error: {message}"),
             other => match other.clone().into_rsp() {
                 Some(e) => write!(f, "{e}"),
                 None => unreachable!("every non-server-side variant mirrors an RspError"),
@@ -294,7 +303,7 @@ impl ServerError {
             ServerError::ThreadPool { message } => Some(RspError::ThreadPool(message)),
             ServerError::InvalidDelta { error } => Some(RspError::InvalidDelta(error)),
             ServerError::CoordinateOutOfRange { point } => Some(RspError::CoordinateOutOfRange(point)),
-            ServerError::UnknownScene { .. } | ServerError::ShuttingDown => None,
+            ServerError::UnknownScene { .. } | ServerError::ShuttingDown | ServerError::Internal { .. } => None,
         }
     }
 }
@@ -668,11 +677,14 @@ mod tests {
             (Request::Stats, &[6]),
             (Request::Evict { scene: 3 }, &[7, 3]),
         ];
-        assert_eq!(PROTOCOL_VERSION, 7, "re-pin the golden bytes when the version changes");
+        assert_eq!(PROTOCOL_VERSION, 8, "re-pin the golden bytes when the version changes");
         for (request, payload) in golden {
             assert_eq!(framed(&request), frame(payload), "{request:?}");
             roundtrip(&request);
         }
+        // The v8 variant: `Response::Error` (8) holding `Internal` (12).
+        let internal = Response::Error { error: ServerError::Internal { message: "boom".into() } };
+        assert_eq!(framed(&internal), frame(&[8, 12, 4, b'b', b'o', b'o', b'm']));
     }
 
     #[test]
@@ -780,5 +792,6 @@ mod tests {
         assert!(msg.contains("(3, 5)"), "{msg}");
         assert!(msg.contains("obstacle 2"), "{msg}");
         assert!(ServerError::UnknownScene { scene: 0xabcd }.to_string().contains("0x000000000000abcd"));
+        assert_eq!(ServerError::Internal { message: "boom".into() }.to_string(), "internal server error: boom");
     }
 }

@@ -6,15 +6,18 @@
 //! intelligence lives behind [`RspService::handle`]; this module only owns
 //! sockets and thread lifecycles.  A closed connection releases its socket
 //! clone at once and its thread handle on the next accept, so reconnecting
-//! clients cannot exhaust file descriptors.  [`Server::shutdown`] (also run
+//! clients cannot exhaust file descriptors.  A handler that panics answers
+//! its request with [`ServerError::Internal`] and the connection keeps
+//! serving.  [`Server::shutdown`] (also run
 //! on drop) closes the listener and every open connection, then joins all
 //! threads.
 
-use crate::protocol::{read_message, write_message, Request, WireError};
+use crate::protocol::{read_message, write_message, Request, Response, ServerError, WireError};
 use crate::service::RspService;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -130,12 +133,30 @@ fn serve_conn(id: u64, mut stream: TcpStream, shared: &ServerShared) {
             // closing the connection is the protocol's error signal.
             Err(WireError::Closed) | Err(_) => break,
         };
-        let response = shared.service.handle(request);
+        let response = guarded(|| shared.service.handle(request));
         if write_message(&mut stream, &response).is_err() {
             break;
         }
     }
     shared.conns.lock().expect("server conns poisoned").remove(&id);
+}
+
+/// Run a request handler, turning a panic into a [`ServerError::Internal`]
+/// reply.  Without this a panic would unwind the connection thread past the
+/// `conns` cleanup, and the client would wait on an open socket until the
+/// server shut down.  Asserting unwind safety is sound: the service's
+/// shared state is behind locks that either recover their guard (the
+/// router's tree lock and row cache) or are never held across a call that
+/// can panic.
+fn guarded(handle: impl FnOnce() -> Response) -> Response {
+    catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|payload| {
+        let message = match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+            (Some(message), _) => (*message).to_string(),
+            (_, Some(message)) => message.clone(),
+            _ => "non-string panic payload".to_string(),
+        };
+        Response::Error { error: ServerError::Internal { message } }
+    })
 }
 
 #[cfg(test)]
@@ -151,6 +172,17 @@ mod tests {
             assert!(Instant::now() < deadline, "timed out waiting until {what}");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn a_panicking_handler_becomes_a_typed_internal_error() {
+        let reply = guarded(|| panic!("handler blew up"));
+        assert_eq!(reply, Response::Error { error: ServerError::Internal { message: "handler blew up".into() } });
+        let formatted = guarded(|| panic!("scene {}", 7));
+        assert_eq!(formatted, Response::Error { error: ServerError::Internal { message: "scene 7".into() } });
+        let opaque = guarded(|| std::panic::panic_any(42u8));
+        assert!(matches!(opaque, Response::Error { error: ServerError::Internal { .. } }), "{opaque:?}");
+        assert_eq!(guarded(|| Response::Evicted { existed: true }), Response::Evicted { existed: true });
     }
 
     #[test]

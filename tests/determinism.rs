@@ -198,6 +198,40 @@ fn edited_sessions_are_bitwise_deterministic_across_the_matrix() {
     assert_ground_truth(&edited_scene, &pairs, &vertex_pairs, &reference, "edited");
 }
 
+/// Batches past the router's inline bound (64 distinct point reductions or
+/// path extractions) fan out over the pool; smaller ones run on the
+/// caller's thread.  Both branches must give the same bits: a fanned-out
+/// batch at every thread count equals the single-thread session, the same
+/// pairs served as 16-pair (inline) batches, and the sampled ground truth.
+#[test]
+fn batches_above_the_inline_bound_match_inline_batches() {
+    let obstacles = uniform_disjoint(9, 47).obstacles;
+    let mut pairs = query_pairs(&obstacles, 100, false, 3);
+    pairs.extend(query_pairs(&obstacles, 40, true, 4));
+    let vertex_pairs = query_pairs(&obstacles, 120, true, 5);
+    let distinct = |p: &[(Point, Point)]| p.iter().collect::<std::collections::HashSet<_>>().len();
+    assert!(distinct(&pairs[..100]) > 64, "the point batch must exceed the inline bound");
+    assert!(distinct(&vertex_pairs) > 64, "the path batch must exceed the inline bound");
+    for store in store_kinds(&obstacles) {
+        let reference = serve(&obstacles, Some(1), store, &pairs, &vertex_pairs);
+        let label = format!("{store:?}");
+        assert_ground_truth(&obstacles, &pairs, &vertex_pairs, &reference, &label);
+        for threads in thread_counts() {
+            let router = router(&obstacles, threads, store);
+            let distances = router.distances(&pairs).expect("distance batch");
+            let paths = router.paths(&vertex_pairs).expect("path batch");
+            assert_eq!(distances, reference.0, "{label}: distances diverge at {threads:?} threads");
+            assert_eq!(paths, reference.1, "{label}: paths diverge at {threads:?} threads");
+            let inline_distances: Vec<Dist> =
+                pairs.chunks(16).flat_map(|chunk| router.distances(chunk).expect("small batch")).collect();
+            let inline_paths: Vec<RectiPath> =
+                vertex_pairs.chunks(16).flat_map(|chunk| router.paths(chunk).expect("small batch")).collect();
+            assert_eq!(inline_distances, distances, "{label}: inline distances diverge at {threads:?} threads");
+            assert_eq!(inline_paths, paths, "{label}: inline paths diverge at {threads:?} threads");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
