@@ -2,18 +2,19 @@
 //!
 //! E13's `implicit_churn` arm priced the PR 8 cold path: a 256-query batch
 //! against a two-row budget re-materialised a row *per query* — 192 ms /
-//! 366 ms / 902 ms per batch at n = 256 / 512 / 1024.  PR 9's planner
-//! rewrites a batch into one sweep per distinct *canonical* row (the L1
-//! metric is symmetric, so `(u, v)` and `(v, u)` share `min(u, v)`'s row),
-//! pins the working set for the batch's lifetime, and scatters the answers.
+//! 366 ms / 902 ms per batch at n = 256 / 512 / 1024.  The planner
+//! rewrites a batch into one sweep per *providing* row (the L1 metric is
+//! symmetric, so a pair can be read from either endpoint's row, and the
+//! planner picks a greedy vertex cover of the batch's pairs), pins the
+//! working set for the batch's lifetime, and scatters the answers.
 //! This bench charts what that buys on the session shape that motivated it —
 //! a cold tenant fanning a few hot sources out to many targets:
 //!
 //! * `planned` — one 256-query mixed batch (192 vertex pairs across 8 hot
 //!   sources in alternating orientation + 64 arbitrary-point pairs) through
 //!   `Router::distances` under a two-row budget.  The planner collapses the
-//!   vertex queries to 8 sweeps; the arbitrary pairs ride on rows pinned up
-//!   front.
+//!   vertex queries to 8 sweeps; the arbitrary pairs' reductions sweep the
+//!   rows they need in parallel, outside the row-cache lock.
 //! * `planned_8rows` — the same batch with an 8-row budget, so every hot
 //!   row can stay pinned at once (the budget-sensitivity axis).
 //! * `per_call` — the same batch served query-by-query via
@@ -43,8 +44,8 @@ fn router(obstacles: &ObstacleSet, budget_rows: usize, n: usize) -> Router {
 }
 
 /// The cold-tenant batch: a few hot sources fanned out to many targets in
-/// both orientations (so symmetry canonicalisation is load-bearing), plus a
-/// tail of arbitrary-point queries.
+/// both orientations (so reading a pair from either endpoint's row is
+/// load-bearing), plus a tail of arbitrary-point queries.
 fn mixed_batch(obstacles: &ObstacleSet) -> Vec<(Point, Point)> {
     let verts = obstacles.vertices();
     let m = verts.len();

@@ -5,7 +5,7 @@
 //!   against.  This plays the role of an external reference implementation;
 //!   it is not part of the paper's algorithm.
 //! * [`repeated_sssp_matrix`] — the "apply the single-source algorithm of
-//!   [11] `O(n)` times" baseline that Section 9 compares its `O(n^2)`
+//!   \[11\] `O(n)` times" baseline that Section 9 compares its `O(n^2)`
 //!   construction against (`O(n^2 log n)` total work).  Experiment E8
 //!   measures this against the Section-9 sweep and the parallel builder.
 //! * [`dijkstra_sssp_matrix`] — an intentionally naive all-pairs baseline

@@ -74,21 +74,18 @@ impl BlockCache {
         }
     }
 
-    /// Resolve the block for `key`, building (and caching) it on a miss.
-    pub fn get_or_insert_with(&mut self, key: u64, build: impl FnOnce() -> Vec<Dist>) -> Arc<[Dist]> {
-        self.tick += 1;
-        if let Some(block) = self.blocks.get_mut(&key) {
-            block.last_used = self.tick;
-            self.hits = self.hits.saturating_add(1);
-            return Arc::clone(&block.data);
-        }
+    /// Insert the block a missed request built, counting the miss.  The
+    /// caller builds outside any lock it holds on the cache, so it must have
+    /// found `key` absent first (see [`BlockCache::peek`]).
+    pub fn insert_missed(&mut self, key: u64, data: Arc<[Dist]>) {
         self.misses = self.misses.saturating_add(1);
-        let data: Arc<[Dist]> = build().into();
-        let bytes = std::mem::size_of_val(&data[..]);
-        self.resident_bytes = self.resident_bytes.saturating_add(bytes);
-        self.blocks.insert(key, Block { data: Arc::clone(&data), bytes, last_used: self.tick, pins: 0 });
-        self.enforce_budget(key);
-        data
+        self.seed(key, data);
+    }
+
+    /// Count a hit for a request served without touching a resident block:
+    /// it waited for a concurrent request's build of the same block.
+    pub fn count_hit(&mut self) {
+        self.hits = self.hits.saturating_add(1);
     }
 
     /// Return the block for `key` if it is resident, touching its LRU slot
@@ -213,13 +210,23 @@ mod tests {
         (0..len).map(|j| (k * 1000 + j as u64) as Dist).collect()
     }
 
+    /// One request as the implicit store makes it: the resident block, or a
+    /// fresh build inserted as a miss.
+    fn get(cache: &mut BlockCache, key: u64, build: impl FnOnce() -> Vec<Dist>) -> Arc<[Dist]> {
+        cache.peek(key).unwrap_or_else(|| {
+            let data: Arc<[Dist]> = build().into();
+            cache.insert_missed(key, Arc::clone(&data));
+            data
+        })
+    }
+
     #[test]
     fn budget_bounds_residency_and_counts_evictions() {
         let row_bytes = 64 * std::mem::size_of::<Dist>();
         // Room for three rows.
         let mut cache = BlockCache::new(3 * row_bytes);
         for k in 0..16u64 {
-            let _ = cache.get_or_insert_with(k, || block(k, 64));
+            let _ = get(&mut cache, k, || block(k, 64));
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 16);
@@ -228,10 +235,10 @@ mod tests {
         assert!(stats.resident_bytes <= 3 * row_bytes);
         // Re-reading a resident row is a hit; evicted rows rebuild to the
         // same contents.
-        let _ = cache.get_or_insert_with(15, || unreachable!("row 15 is resident"));
+        let _ = get(&mut cache, 15, || unreachable!("row 15 is resident"));
         assert_eq!(cache.stats().hits, 1);
         for k in 0..16u64 {
-            assert_eq!(&cache.get_or_insert_with(k, || block(k, 64))[..], &block(k, 64)[..], "row {k} after churn");
+            assert_eq!(&get(&mut cache, k, || block(k, 64))[..], &block(k, 64)[..], "row {k} after churn");
         }
     }
 
@@ -250,13 +257,10 @@ mod tests {
         let mut builds = 0;
         let mut held = std::collections::HashMap::new();
         for &k in &distinct {
-            let handle = match cache.peek(k) {
-                Some(row) => row,
-                None => cache.get_or_insert_with(k, || {
-                    builds += 1;
-                    block(k, 33)
-                }),
-            };
+            let handle = get(&mut cache, k, || {
+                builds += 1;
+                block(k, 33)
+            });
             held.insert(k, handle);
         }
         for &k in &request {
@@ -273,13 +277,13 @@ mod tests {
     fn pinned_blocks_survive_churn_and_unpin_restores_eviction() {
         let row_bytes = 4 * std::mem::size_of::<Dist>();
         let mut cache = BlockCache::new(2 * row_bytes);
-        let _ = cache.get_or_insert_with(0, || vec![0; 4]);
+        let _ = get(&mut cache, 0, || vec![0; 4]);
         assert!(cache.pin(0), "resident block must pin");
         assert_eq!(cache.stats().pinned_bytes, row_bytes);
         // Churn many other blocks through the remaining single-row headroom:
         // the pinned block must never be the victim.
         for k in 1..10u64 {
-            let _ = cache.get_or_insert_with(k, || vec![k as Dist; 4]);
+            let _ = get(&mut cache, k, || vec![k as Dist; 4]);
         }
         assert!(cache.peek(0).is_some(), "pinned block evicted under churn");
         assert!(cache.resident_bytes() <= 2 * row_bytes);
@@ -287,7 +291,7 @@ mod tests {
         assert_eq!(cache.stats().pinned_bytes, 0);
         // With the pin gone the block is evictable again.
         for k in 10..14u64 {
-            let _ = cache.get_or_insert_with(k, || vec![k as Dist; 4]);
+            let _ = get(&mut cache, k, || vec![k as Dist; 4]);
         }
         assert!(cache.peek(0).is_none(), "unpinned LRU block should churn out");
     }
@@ -297,7 +301,7 @@ mod tests {
         let row_bytes = 4 * std::mem::size_of::<Dist>();
         let mut cache = BlockCache::new(row_bytes); // budget: one row
         for k in 0..3u64 {
-            let _ = cache.get_or_insert_with(k, || vec![k as Dist; 4]);
+            let _ = get(&mut cache, k, || vec![k as Dist; 4]);
             cache.pin(k);
         }
         // Everything is pinned: over budget, but nothing evictable.
@@ -352,7 +356,7 @@ mod tests {
         assert!(cache.peek(3).is_none());
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 0);
-        let _ = cache.get_or_insert_with(3, || vec![1, 2, 3]);
+        let _ = get(&mut cache, 3, || vec![1, 2, 3]);
         assert!(cache.peek(3).is_some());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -362,7 +366,7 @@ mod tests {
     fn sub_row_budget_keeps_exactly_one_block() {
         let mut cache = BlockCache::new(1);
         for k in 0..6u64 {
-            let _ = cache.get_or_insert_with(k, || block(k, 40));
+            let _ = get(&mut cache, k, || block(k, 40));
         }
         let stats = cache.stats();
         assert_eq!(stats.evictions, 5);

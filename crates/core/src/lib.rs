@@ -29,7 +29,7 @@
 //!   store.
 //! * [`baseline`] — comparators for the E8 experiment and the tests:
 //!   Hanan-grid Dijkstra, sparse track-graph Dijkstra (the
-//!   de Rezende–Lee–Wu-style single-source algorithm [11]) and the
+//!   de Rezende–Lee–Wu-style single-source algorithm \[11\]) and the
 //!   repeated-SSSP all-pairs baseline.  No serving path calls them.
 //! * [`tree`] — the recursion tree of Section 6.1 (inspection / rendering).
 //! * [`router`] — the session-style entry point tying everything together:

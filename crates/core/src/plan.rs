@@ -1,34 +1,47 @@
-//! Batch query planning: canonicalise, group, deduplicate.
+//! Batch query planning: choose providing rows, group, deduplicate.
 //!
 //! A batch against an implicit [`DistanceStore`](crate::store::DistanceStore)
 //! is only as fast as the number of single-source sweeps it triggers.  A
 //! naive per-query loop under eviction pressure re-sweeps a row *per query*
 //! (the E13 cold path); the planner instead rewrites a batch into:
 //!
-//! 1. **Canonical rows** — the rectilinear metric is symmetric, so `(u, v)`
-//!    and `(v, u)` are answered by the single row `min(u, v)`.  Each
-//!    unordered pair names exactly one *providing row*.
+//! 1. **Providing rows by cover** — the rectilinear metric is symmetric, so
+//!    an unordered pair `{u, v}` can be read from row `u` or row `v`.  The
+//!    batch's distinct pairs form a graph on vertex indices, and any vertex
+//!    cover of it is a set of rows that answers every pair.  The planner
+//!    takes a greedy cover: the forced rows (the vertex endpoints of mixed
+//!    pairs, which the point reductions read anyway) and the diagonal pairs'
+//!    rows first, then repeatedly the vertex covering the most open pairs,
+//!    ties to the smaller index.  A batch of `k` sources fanned out to
+//!    many targets therefore costs `k` rows, where reading each pair from
+//!    row `min(u, v)` would cost up to one row per pair.  When the
+//!    `min(u, v)` rule needs no more rows than the cover, its plan is kept,
+//!    so a plan never has more rows than that rule.  Each pair is read
+//!    from its smaller endpoint when that row is planned, else from the
+//!    larger one.
 //! 2. **Row-major order** — lookups are grouped per providing row and the
 //!    distinct rows listed in ascending order, so the store can materialise
-//!    (and pin) each row exactly once for the whole batch, and the lazy
-//!    multi-row kernels downstream see adjacent rows together.
+//!    (and pin) each row exactly once for the whole batch.
 //! 3. **Deduplication** — identical queries collapse to one lookup whose
 //!    result is scattered back to every originating batch slot.
 //!
 //! The planner is pure bookkeeping over indices: it never touches the store,
-//! so its output is trivially deterministic and the answers it scatters are
-//! bitwise-identical to per-call answers by construction.
+//! so its output is deterministic, and since rows are exact and symmetric
+//! the answers it scatters are bitwise-identical to per-call answers.
+//! Planning a batch of `m` pairs costs `O(m log m)`.
 
 use rsp_geom::Point;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// One deduplicated vertex-pair lookup: read `row`'s entry at `col` and
 /// scatter it to every listed output slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedLookup {
-    /// The providing (canonical) row: `min(u, v)` of the original pair.
+    /// The providing row: the endpoint of the pair whose row the plan
+    /// materialises (the smaller one when both rows are planned).
     pub row: usize,
-    /// The column to read: `max(u, v)` of the original pair.
+    /// The entry read from that row: the pair's other endpoint.
     pub col: usize,
     /// Output slots of every batch query this lookup answers.
     pub slots: Vec<usize>,
@@ -38,8 +51,8 @@ pub struct PlannedLookup {
 /// the deduplicated lookups in row-major order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VertexBatchPlan {
-    /// Distinct providing rows, ascending — the working set to materialise
-    /// (and pin) once for the batch.
+    /// Distinct rows to materialise (and pin) once for the batch, ascending:
+    /// every lookup's providing row plus the forced rows.
     pub rows: Vec<usize>,
     /// Deduplicated lookups ordered row-major (by `(row, col)`).
     pub lookups: Vec<PlannedLookup>,
@@ -52,21 +65,78 @@ impl VertexBatchPlan {
     }
 }
 
-/// Plan a batch of vertex-index pairs.  Each item is `(u, v, slot)`: answer
-/// `d(u, v)` into output slot `slot`.  See the module docs for what the
-/// plan guarantees.
+/// Plan a batch of vertex-index pairs with no forced rows; see
+/// [`plan_vertex_pairs_with`].
 pub fn plan_vertex_pairs(items: &[(usize, usize, usize)]) -> VertexBatchPlan {
+    plan_vertex_pairs_with(items, &[])
+}
+
+/// Plan a batch of vertex-index pairs.  Each item is `(u, v, slot)`: answer
+/// `d(u, v)` into output slot `slot`.  `forced` lists rows the batch reads
+/// anyway (they join the plan's rows first, so pairs they cover cost no
+/// further row).  See the module docs for what the plan guarantees.
+pub fn plan_vertex_pairs_with(items: &[(usize, usize, usize)], forced: &[usize]) -> VertexBatchPlan {
     let mut groups: HashMap<(usize, usize), Vec<usize>> = HashMap::with_capacity(items.len());
     for &(u, v, slot) in items {
         let key = if u <= v { (u, v) } else { (v, u) };
         groups.entry(key).or_default().push(slot);
     }
-    let mut lookups: Vec<PlannedLookup> =
-        groups.into_iter().map(|((row, col), slots)| PlannedLookup { row, col, slots }).collect();
+    let pairs: Vec<(usize, usize)> = groups.keys().copied().collect();
+    let mut min_rule: Vec<usize> = pairs.iter().map(|&(u, _)| u).chain(forced.iter().copied()).collect();
+    min_rule.sort_unstable();
+    min_rule.dedup();
+    let cover = greedy_cover(&pairs, forced);
+    let rows = if cover.len() < min_rule.len() { cover } else { min_rule };
+    let mut lookups: Vec<PlannedLookup> = groups
+        .into_iter()
+        .map(|((u, v), slots)| match rows.binary_search(&u) {
+            Ok(_) => PlannedLookup { row: u, col: v, slots },
+            Err(_) => PlannedLookup { row: v, col: u, slots },
+        })
+        .collect();
     lookups.sort_unstable_by_key(|l| (l.row, l.col));
-    let mut rows: Vec<usize> = lookups.iter().map(|l| l.row).collect();
-    rows.dedup(); // already sorted: row-major lookup order
     VertexBatchPlan { rows, lookups }
+}
+
+/// A vertex cover of the graph whose edges are `pairs` (each `(u, v)` with
+/// `u <= v`), ascending.  It holds every forced row and every diagonal
+/// pair's row, then greedily the vertex with the most uncovered edges (ties
+/// to the smaller index).  A lazy max-heap keeps this `O(m log m)` for `m`
+/// edges: degrees only fall, so a popped entry whose degree is current is
+/// the true maximum, and a stale one is pushed back with its current degree.
+fn greedy_cover(pairs: &[(usize, usize)], forced: &[usize]) -> Vec<usize> {
+    let mut chosen: HashSet<usize> = forced.iter().copied().collect();
+    chosen.extend(pairs.iter().filter(|&&(u, v)| u == v).map(|&(u, _)| u));
+    let open: Vec<(usize, usize)> =
+        pairs.iter().copied().filter(|(u, v)| !chosen.contains(u) && !chosen.contains(v)).collect();
+    let mut incident: HashMap<usize, Vec<usize>> = HashMap::new();
+    for (e, &(u, v)) in open.iter().enumerate() {
+        incident.entry(u).or_default().push(e);
+        incident.entry(v).or_default().push(e);
+    }
+    let mut degree: HashMap<usize, usize> = incident.iter().map(|(&v, edges)| (v, edges.len())).collect();
+    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = degree.iter().map(|(&v, &d)| (d, Reverse(v))).collect();
+    let mut covered = vec![false; open.len()];
+    while let Some((d, Reverse(v))) = heap.pop() {
+        let live = degree[&v];
+        if live != d {
+            if live > 0 {
+                heap.push((live, Reverse(v)));
+            }
+            continue;
+        }
+        chosen.insert(v);
+        degree.insert(v, 0);
+        for &e in &incident[&v] {
+            if !std::mem::replace(&mut covered[e], true) {
+                let (a, b) = open[e];
+                *degree.get_mut(if a == v { &b } else { &a }).expect("every endpoint has a degree") -= 1;
+            }
+        }
+    }
+    let mut rows: Vec<usize> = chosen.into_iter().collect();
+    rows.sort_unstable();
+    rows
 }
 
 /// Identical point pairs of a batch, collapsed: `unique[g]` is evaluated
@@ -123,9 +193,46 @@ mod tests {
     }
 
     #[test]
+    fn a_star_batch_is_read_from_its_centres() {
+        // Sources 6 and 9 fanned out to targets on both sides of them: the
+        // min rule needs rows {1, 2, 3, 6, 9}, the cover only {6, 9}.
+        let items = [(6, 1, 0), (6, 2, 1), (6, 11, 2), (3, 9, 3), (9, 12, 4), (2, 9, 5), (12, 9, 6)];
+        let plan = plan_vertex_pairs(&items);
+        assert_eq!(plan.rows, vec![6, 9]);
+        assert_eq!(plan.query_count(), 7);
+        assert_eq!(
+            plan.lookups,
+            vec![
+                PlannedLookup { row: 6, col: 1, slots: vec![0] },
+                PlannedLookup { row: 6, col: 2, slots: vec![1] },
+                PlannedLookup { row: 6, col: 11, slots: vec![2] },
+                PlannedLookup { row: 9, col: 2, slots: vec![5] },
+                PlannedLookup { row: 9, col: 3, slots: vec![3] },
+                PlannedLookup { row: 9, col: 12, slots: vec![4, 6] },
+            ]
+        );
+    }
+
+    #[test]
+    fn forced_rows_join_the_plan_and_cover_their_pairs() {
+        // Row 8 is read anyway, so (8, 1) and (8, 2) cost nothing more; the
+        // remaining pair ties between rows 3 and 4 and goes to the smaller.
+        let plan = plan_vertex_pairs_with(&[(8, 1, 0), (2, 8, 1), (4, 3, 2)], &[8, 8]);
+        assert_eq!(plan.rows, vec![3, 8]);
+        let read: Vec<(usize, usize)> = plan.lookups.iter().map(|l| (l.row, l.col)).collect();
+        assert_eq!(read, vec![(3, 4), (8, 1), (8, 2)]);
+        // With nothing to gain the min rule's plan stands: a forced row
+        // that covers no pair is still listed.
+        let plan = plan_vertex_pairs_with(&[(0, 5, 0)], &[7]);
+        assert_eq!(plan.rows, vec![0, 7]);
+        assert_eq!(plan.lookups, vec![PlannedLookup { row: 0, col: 5, slots: vec![0] }]);
+    }
+
+    #[test]
     fn empty_batches_plan_to_nothing() {
         let plan = plan_vertex_pairs(&[]);
         assert!(plan.rows.is_empty() && plan.lookups.is_empty());
+        assert_eq!(plan_vertex_pairs_with(&[], &[4]).rows, vec![4]);
         assert_eq!(plan.query_count(), 0);
         assert_eq!(dedupe_point_pairs(&[], &[]), DedupedPairs::default());
     }

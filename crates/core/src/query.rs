@@ -9,7 +9,7 @@
 //!   ray reaches the escape staircase of `q` that points into `p`'s quadrant
 //!   before any obstacle, the answer is `d(p, q)`; otherwise the answer goes
 //!   through one of the two endpoints of the first obstacle edge hit
-//!   (argument from [11], restated in Section 6.4).  Taking the minimum of
+//!   (argument from \[11\], restated in Section 6.4).  Taking the minimum of
 //!   the horizontal and the vertical reduction removes the need to test which
 //!   side of the staircase `p` lies on: for the correct side the reduction is
 //!   exact and for the other side it still produces a valid (not shorter)
@@ -37,7 +37,7 @@ const FAR: Coord = 1 << 40;
 /// allocation-free: ray shots and point containment go through the
 /// [`ObstacleIndex`], staircase/line intersections binary-search the
 /// monotone escape chains, and the on-the-fly staircase of a both-arbitrary
-/// query is a borrowed [`ChainView`] instead of a concatenated heap chain.
+/// query is a borrowed `ChainView` instead of a concatenated heap chain.
 pub struct PathLengthOracle {
     obstacles: Arc<ObstacleSet>,
     apsp: VertexApsp,

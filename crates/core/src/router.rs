@@ -475,10 +475,11 @@ impl Router {
     /// what per-pair [`Router::distance`] calls would return.
     ///
     /// Under an implicit store the vertex pairs additionally go through the
-    /// batch planner ([`crate::plan`]): each query is canonicalised to its
-    /// providing row, lookups are ordered row-major, and the distinct rows
+    /// batch planner ([`crate::plan`]): the providing rows are a vertex
+    /// cover of the batch's pair graph (so `k` sources fanned out to many
+    /// targets cost `k` rows), lookups are ordered row-major, and the rows
     /// are materialised once and pinned for the batch — so a cold batch
-    /// pays one sweep per *distinct row*, not one per query.  The dense
+    /// pays one sweep per *planned row*, not one per query.  The dense
     /// store bypasses planning entirely (its per-pair read is already a
     /// single array access).
     pub fn distances(&self, pairs: &[(Point, Point)]) -> Result<Vec<Dist>, RspError> {
@@ -524,15 +525,10 @@ impl Router {
         // fan-out below finishes, so arbitrary-point queries reuse the very
         // rows the vertex lookups just materialised.
         let _pins = implicit.map(|store| {
-            let plan = crate::plan::plan_vertex_pairs(&planned);
-            let mut rows = plan.rows.clone();
-            rows.extend_from_slice(&mixed_rows);
-            let pins = self.in_pool(|| store.pin_rows(&rows));
+            let plan = crate::plan::plan_vertex_pairs_with(&planned, &mixed_rows);
+            let pins = self.in_pool(|| store.pin_rows(&plan.rows));
             for lookup in &plan.lookups {
-                let d = match pins.row(lookup.row) {
-                    Some(row) => row[lookup.col],
-                    None => store.distance(lookup.row, lookup.col),
-                };
+                let d = pins.row(lookup.row).expect("planned rows are pinned")[lookup.col];
                 for &slot in &lookup.slots {
                     out[slot] = d;
                 }
@@ -881,7 +877,8 @@ mod tests {
         let dense = Router::builder(w.obstacles.clone()).store(StoreKind::Dense).build().unwrap();
         let verts = w.obstacles.vertices();
         // Many queries, few providing rows: (v0, t) and its flip (t, v0)
-        // canonicalise to row 0; (v5, t) canonicalises to min(5, t).
+        // are read from row 0, and (v5, t) from row 5, which covers them all
+        // (the min(u, v) rule would also read (v5, v3) from row 3).
         let mut pairs = Vec::new();
         for &t in verts.iter().step_by(3) {
             pairs.push((verts[0], t));
@@ -891,9 +888,9 @@ mod tests {
         let batch = implicit.distances(&pairs).unwrap();
         assert_eq!(batch, dense.distances(&pairs).unwrap(), "bitwise-identical to dense");
         let stats = implicit.memory_stats();
-        // Providing rows are {0, 3, 5}: one sweep each, despite 3 queries
-        // per target and a budget below the working set.
-        assert_eq!(stats.row_misses, 3, "one sweep per distinct providing row");
+        // Providing rows are {0, 5}: one sweep each, despite 3 queries per
+        // target and a budget below the working set.
+        assert_eq!(stats.row_misses, 2, "one sweep per distinct providing row");
         assert_eq!(stats.pinned_bytes, 0, "batch pins were released");
         assert!(stats.resident_bytes <= 2 * row_bytes, "budget enforced after the batch");
     }

@@ -4,7 +4,7 @@
 //! is [`VertexApsp::build_sequential`](crate::apsp::VertexApsp::build_sequential)).
 //!
 //! For a source `v`, the plane is covered by four regions delimited by escape
-//! paths from `v` (Fig. 5 / Section 9, following de Rezende–Lee–Wu [11]):
+//! paths from `v` (Fig. 5 / Section 9, following de Rezende–Lee–Wu \[11\]):
 //! targets in the region to the right of `NE(v) ∪ SE(v)` have an x-monotone
 //! shortest path with `v` as its left endpoint (Case (i)); the other three
 //! cases are the reflections/transpositions of this one.  Within Case (i) the

@@ -6,7 +6,7 @@
 //! towards `v` reaches that staircase before any obstacle, the path runs
 //! straight to the staircase and then along it to `v`), or its *parent is one
 //! of the two endpoints of the first obstacle edge hit* by that ray — exactly
-//! the parent rule of Section 8 / [11].  The parent pointers plus a
+//! the parent rule of Section 8 / \[11\].  The parent pointers plus a
 //! level-ancestor structure (rsp-pram) let `⌈k/log n⌉` workers report a
 //! `k`-segment path in parallel chunks.
 

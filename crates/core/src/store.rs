@@ -152,56 +152,114 @@ impl LazyProvider {
     }
 }
 
+/// A row whose sweep is running outside the cache lock.  Every caller that
+/// misses the row while it is in flight waits on the same cell, so
+/// concurrent missers of one row share one sweep.
+type RowCell = Arc<OnceLock<Arc<[Dist]>>>;
+
+/// What the implicit store's lock guards: the resident rows and the rows
+/// being swept right now.
+struct RowCache {
+    rows: BlockCache,
+    in_flight: HashMap<usize, RowCell>,
+}
+
+impl RowCache {
+    /// Resident row `i` (counting a hit), or the cell its sweep fills: the
+    /// in-flight one, or a fresh one registered now.
+    fn probe(&mut self, i: usize) -> Result<Arc<[Dist]>, RowCell> {
+        match self.rows.peek(i as u64) {
+            Some(row) => Ok(row),
+            None => Err(Arc::clone(self.in_flight.entry(i).or_default())),
+        }
+    }
+
+    /// Pin resident row `i` if the pinned total stays within the budget.
+    fn try_pin(&mut self, i: usize, row_bytes: usize) -> bool {
+        self.rows.pinned_bytes() + row_bytes <= self.rows.stats().budget_bytes && self.rows.pin(i as u64)
+    }
+}
+
 /// The implicit backend: a row generator plus a byte-budgeted LRU of
 /// materialised rows.
 pub struct ImplicitStore {
     provider: LazyProvider,
     dim: usize,
-    cache: Mutex<BlockCache>,
+    cache: Mutex<RowCache>,
 }
 
 impl ImplicitStore {
     fn new(provider: LazyProvider, dim: usize, budget_bytes: usize) -> Self {
-        ImplicitStore { provider, dim, cache: Mutex::new(BlockCache::new(budget_bytes)) }
+        let cache = RowCache { rows: BlockCache::new(budget_bytes), in_flight: HashMap::new() };
+        ImplicitStore { provider, dim, cache: Mutex::new(cache) }
     }
 
-    /// The row cache.  A poisoned lock is recovered: the cache inserts a row
-    /// only after its sweep has returned, so a panic under the guard (in a
-    /// sweep, say) cannot leave a partial row resident.
-    fn lock_cache(&self) -> MutexGuard<'_, BlockCache> {
+    /// The row cache.  A poisoned lock is recovered: no sweep runs under the
+    /// guard, a row is inserted only after its sweep has returned, and each
+    /// update leaves the cache consistent, so a panic under the guard cannot
+    /// leave a partial row resident.
+    fn lock_cache(&self) -> MutexGuard<'_, RowCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Fill `cell` with row `i` outside the lock and account for the call.
+    /// The caller whose closure ran the sweep inserts the row, retires the
+    /// in-flight cell and counts the miss; every caller that found the cell
+    /// already filled, or waited for it, counts a hit.  (If a sweeper
+    /// panics, the next caller on the cell sweeps instead.)  The guard is
+    /// returned so a caller can pin the row before anything evicts it.
+    fn settle(&self, i: usize, cell: &RowCell) -> (Arc<[Dist]>, MutexGuard<'_, RowCache>) {
+        let mut swept = false;
+        let row = Arc::clone(cell.get_or_init(|| {
+            swept = true;
+            self.provider.row(i).into()
+        }));
+        let mut cache = self.lock_cache();
+        if swept {
+            cache.rows.insert_missed(i as u64, Arc::clone(&row));
+            cache.in_flight.remove(&i);
+        } else {
+            cache.rows.count_hit();
+        }
+        (row, cache)
+    }
+
     /// Row `i` (all distances from source vertex `i`), materialised on first
-    /// use and resident while the byte budget allows.
+    /// use and resident while the byte budget allows.  A missing row is swept
+    /// outside the cache lock; concurrent callers missing the same row wait
+    /// for that one sweep.
     pub fn row(&self, i: usize) -> Arc<[Dist]> {
         debug_assert!(i < self.dim, "row out of range");
-        let mut cache = self.lock_cache();
-        cache.get_or_insert_with(i as u64, || self.provider.row(i))
+        let probed = self.lock_cache().probe(i);
+        probed.unwrap_or_else(|cell| self.settle(i, &cell).0)
     }
 
     /// Entry `(i, j)`, served from *either* endpoint's row.
     ///
     /// The rectilinear metric is symmetric (`d(i, j) == d(j, i)`, a property
     /// the store test suite pins bitwise), so a resident row `j` answers a
-    /// query about row `i` for free.  Only when neither row is resident does
-    /// a sweep run — for the *canonical* row `min(i, j)`, so `(u, v)` and
-    /// `(v, u)` always materialise the same row and a batch planner can
-    /// count on one sweep per unordered pair.  Exactly one hit or miss is
-    /// counted per call, as before.
+    /// query about row `i` for free, and a row `j` already being swept is
+    /// waited for rather than sweeping row `i` too.  Only when neither row is
+    /// resident or in flight does a sweep run, outside the cache lock, for
+    /// row `min(i, j)`, so `(u, v)` and `(v, u)` materialise the same row.
+    /// (Batches do not rely on this rule: their planner pins a row cover
+    /// first, see [`crate::plan`].)  Exactly one hit or miss is counted per
+    /// call, as for [`ImplicitStore::row`].
     pub fn distance(&self, i: usize, j: usize) -> Dist {
         debug_assert!(i < self.dim && j < self.dim, "index out of range");
-        let mut cache = self.lock_cache();
-        if let Some(row) = cache.peek(i as u64) {
-            return row[j];
-        }
-        if i != j {
-            if let Some(row) = cache.peek(j as u64) {
+        let (sweep, other, cell) = {
+            let mut cache = self.lock_cache();
+            if let Some(row) = cache.rows.peek(i as u64) {
+                return row[j];
+            }
+            if let Some(row) = cache.rows.peek(j as u64) {
                 return row[i];
             }
-        }
-        let (canon, other) = if i <= j { (i, j) } else { (j, i) };
-        cache.get_or_insert_with(canon as u64, || self.provider.row(canon))[other]
+            let sweep = [i, j].into_iter().find(|k| cache.in_flight.contains_key(k)).unwrap_or(i.min(j));
+            let other = if sweep == i { j } else { i };
+            (sweep, other, Arc::clone(cache.in_flight.entry(sweep).or_default()))
+        };
+        self.settle(sweep, &cell).0[other]
     }
 
     /// Matrix dimension (`4n`).
@@ -212,14 +270,16 @@ impl ImplicitStore {
     /// Materialise and pin a working set of rows for a batch's lifetime.
     ///
     /// Resident rows are reused (one hit each); the missing ones are swept
-    /// in parallel *outside* the cache lock, then inserted (one miss each) —
-    /// so a batch over `r` distinct rows costs at most `r` sweeps no matter
-    /// how many queries it answers.  Rows are pinned against eviction only
-    /// while the pinned total stays within the byte budget; rows past that
-    /// point are held alive by the guard's own `Arc` handles instead, which
-    /// keeps the answers correct (and still one-sweep) under arbitrarily
-    /// small budgets at the price of letting the cache churn them.  Dropping
-    /// the guard unpins everything and lets deferred evictions run.
+    /// in parallel *outside* the cache lock, then inserted (one miss each),
+    /// and a row another caller is already sweeping is waited for (one hit)
+    /// instead of swept again — so a batch over `r` distinct rows costs at
+    /// most `r` sweeps no matter how many queries it answers.  Rows are
+    /// pinned against eviction only while the pinned total stays within the
+    /// byte budget; rows past that point are held alive by the guard's own
+    /// `Arc` handles instead, which keeps the answers correct (and still
+    /// one-sweep) under arbitrarily small budgets at the price of letting the
+    /// cache churn them.  Dropping the guard unpins everything and lets
+    /// deferred evictions run.
     pub fn pin_rows(&self, rows: &[usize]) -> PinnedRows<'_> {
         use rayon::prelude::*;
         let mut distinct: Vec<usize> = rows.to_vec();
@@ -231,49 +291,47 @@ impl ImplicitStore {
         let row_bytes = self.dim * ENTRY_BYTES;
         let mut handles: HashMap<usize, Arc<[Dist]>> = HashMap::with_capacity(distinct.len());
         let mut pinned: Vec<usize> = Vec::with_capacity(distinct.len());
-        let missing: Vec<usize> = {
+        let pending: Vec<(usize, RowCell)> = {
             let mut cache = self.lock_cache();
-            let budget = cache.stats().budget_bytes;
             distinct
                 .into_iter()
-                .filter(|&i| match cache.peek(i as u64) {
-                    Some(row) => {
-                        if cache.pinned_bytes() + row_bytes <= budget && cache.pin(i as u64) {
+                .filter_map(|i| match cache.probe(i) {
+                    Ok(row) => {
+                        if cache.try_pin(i, row_bytes) {
                             pinned.push(i);
                         }
                         handles.insert(i, row);
-                        false
+                        None
                     }
-                    None => true,
+                    Err(cell) => Some((i, cell)),
                 })
                 .collect()
         };
-        // Sweeps run unlocked and in parallel: they dominate cold-batch cost
-        // and must not serialise behind (or block) concurrent readers.  The
-        // provider is forced up front so the skeleton build happens once,
-        // outside the fan-out.
-        let built: Vec<(usize, Vec<Dist>)> = if missing.is_empty() {
-            Vec::new()
-        } else {
+        // Sweeps dominate cold-batch cost, so they run in parallel and never
+        // under the lock.  The provider is forced up front so the skeleton
+        // build happens once, outside the fan-out.
+        if !pending.is_empty() {
             self.provider.force();
-            missing.par_iter().map(|&i| (i, self.provider.row(i))).collect()
-        };
-        let mut cache = self.lock_cache();
-        let budget = cache.stats().budget_bytes;
-        for (i, row) in built {
-            let handle = cache.get_or_insert_with(i as u64, || row);
-            if cache.pinned_bytes() + row_bytes <= budget && cache.pin(i as u64) {
-                pinned.push(i);
+            let settled: Vec<(usize, Arc<[Dist]>, bool)> = pending
+                .par_iter()
+                .map(|(i, cell)| {
+                    let (row, mut cache) = self.settle(*i, cell);
+                    (*i, row, cache.try_pin(*i, row_bytes))
+                })
+                .collect();
+            for (i, row, is_pinned) in settled {
+                if is_pinned {
+                    pinned.push(i);
+                }
+                handles.insert(i, row);
             }
-            handles.insert(i, handle);
         }
-        drop(cache);
         PinnedRows { store: self, pinned, rows: handles }
     }
 
     /// Memory accounting snapshot.
     pub fn stats(&self) -> StoreStats {
-        let cache = self.lock_cache().stats();
+        let cache = self.lock_cache().rows.stats();
         StoreStats {
             resident_bytes: cache.resident_bytes,
             dense_bytes: self.dim * self.dim * ENTRY_BYTES,
@@ -326,7 +384,7 @@ impl Drop for PinnedRows<'_> {
     fn drop(&mut self) {
         let mut cache = self.store.lock_cache();
         for &i in &self.pinned {
-            cache.unpin(i as u64);
+            cache.rows.unpin(i as u64);
         }
     }
 }
@@ -414,7 +472,7 @@ impl DistanceStore {
                 let old_rows: Vec<(usize, &[Dist])> = match base.oracle.apsp().store() {
                     DistanceStore::Dense(m) => (0..m.rows()).map(|i| (i, m.row(i))).collect(),
                     DistanceStore::Implicit(s) => {
-                        resident = s.lock_cache().snapshot();
+                        resident = s.lock_cache().rows.snapshot();
                         resident.iter().map(|(k, row)| (*k as usize, &row[..])).collect()
                     }
                 };
@@ -470,7 +528,8 @@ impl DistanceStore {
         let (store, rows_carried) = match kind {
             StoreKind::Implicit { budget_bytes } => {
                 let store = ImplicitStore::new(provider, dim, budget_bytes);
-                let mut cache = store.lock_cache();
+                let mut guard = store.lock_cache();
+                let cache = &mut guard.rows;
                 for (i, row) in remapped {
                     cache.seed(i as u64, row.into());
                 }
@@ -480,7 +539,7 @@ impl DistanceStore {
                 // Count what actually stayed resident, so budget evictions
                 // during seeding are charged as drops, not claimed as reuse.
                 let rows_carried = cache.snapshot().iter().filter(|&&(k, _)| carried[k as usize]).count();
-                drop(cache);
+                drop(guard);
                 (DistanceStore::Implicit(Box::new(store)), rows_carried)
             }
             _ => {
@@ -713,6 +772,86 @@ mod tests {
             assert_eq!(router.distance(a, b).unwrap(), fresh.distance(a, b).unwrap(), "{a:?} -> {b:?}");
         }
         assert!(store.stats().resident_bytes <= 3 * row_bytes);
+    }
+
+    #[test]
+    fn concurrent_missers_of_one_row_share_one_sweep() {
+        let w = uniform_disjoint(24, 5);
+        let store = implicit(&w.obstacles, usize::MAX);
+        let implicit = store.as_implicit().expect("implicit store");
+        let engine = SingleSourceEngine::new(&w.obstacles);
+        let expect = engine.distances_from(engine.vertices()[3]);
+        // Row 3 is cold.  Every caller asks for it directly or for a pair
+        // whose smaller endpoint is 3, so each one finds it resident, joins
+        // its in-flight sweep, or starts that one sweep.
+        let threads = 6;
+        let barrier = std::sync::Barrier::new(threads);
+        let rows: Vec<Vec<Dist>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        match t % 3 {
+                            0 => implicit.row(3).to_vec(),
+                            1 => (0..implicit.dim()).map(|j| implicit.distance(3, j.max(3))).collect(),
+                            _ => vec![implicit.distance(4 + t, 3)],
+                        }
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (t, row) in rows.iter().enumerate() {
+            match t % 3 {
+                0 => assert_eq!(row, &expect, "thread {t}"),
+                1 => assert!(row.iter().enumerate().all(|(j, &d)| d == expect[j.max(3)]), "thread {t}"),
+                _ => assert_eq!(row[0], expect[4 + t], "thread {t}"),
+            }
+        }
+        let stats = store.stats();
+        assert_eq!(stats.row_misses, 1, "one sweep for every concurrent caller");
+        let calls = 2 + 2 * implicit.dim() as u64 + 2;
+        assert_eq!(stats.row_hits + stats.row_misses, calls, "one hit or miss per call");
+        assert!(implicit.lock_cache().in_flight.is_empty(), "the in-flight cell was retired");
+    }
+
+    #[test]
+    fn callers_of_an_in_flight_row_wait_for_it_instead_of_sweeping() {
+        let w = uniform_disjoint(8, 13);
+        let store = implicit(&w.obstacles, usize::MAX);
+        let implicit = store.as_implicit().expect("implicit store");
+        // Register row 9 as in flight, as a sweeper does before it unlocks.
+        let cell = implicit.lock_cache().probe(9).expect_err("row 9 is cold");
+        // (2, 9) would sweep row min(2, 9) = 2, but row 9 is already on its
+        // way: the call fills that cell instead (its sweeper has not
+        // started), inserts row 9 and counts the one miss.
+        let d = implicit.distance(2, 9);
+        assert_eq!((store.stats().row_misses, store.stats().row_hits), (1, 0));
+        assert_eq!(store.stats().resident_bytes, implicit.dim() * ENTRY_BYTES, "only row 9 is resident");
+        // The registrant finds its cell filled: a hit, no second sweep.
+        let (row, guard) = implicit.settle(9, &cell);
+        drop(guard);
+        assert_eq!(row[2], d);
+        assert_eq!((store.stats().row_misses, store.stats().row_hits), (1, 1));
+        assert!(Arc::ptr_eq(&row, &implicit.row(9)), "the resident row is the swept one");
+        assert!(implicit.lock_cache().in_flight.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_sweeper_leaves_the_row_to_the_next_caller() {
+        let w = uniform_disjoint(6, 4);
+        let store = implicit(&w.obstacles, usize::MAX);
+        let implicit = store.as_implicit().expect("implicit store");
+        let cell = implicit.lock_cache().probe(5).expect_err("row 5 is cold");
+        let panicked = std::panic::catch_unwind(|| cell.get_or_init(|| panic!("sweep failed")).len());
+        assert!(panicked.is_err());
+        assert!(!implicit.cache.is_poisoned(), "no sweep runs under the lock");
+        // The abandoned cell is still registered; the next caller sweeps it.
+        let engine = SingleSourceEngine::new(&w.obstacles);
+        assert_eq!(&implicit.row(5)[..], &engine.distances_from(engine.vertices()[5])[..]);
+        assert_eq!((store.stats().row_misses, store.stats().row_hits), (1, 0));
+        assert!(implicit.lock_cache().in_flight.is_empty());
     }
 
     #[test]

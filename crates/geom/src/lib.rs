@@ -20,9 +20,9 @@
 //!   staircase chain.
 //! * [`rayshoot`] — first-obstacle-hit queries in the four axis directions,
 //!   both naive and via a segment-tree index (the substitute for the
-//!   trapezoidal-decomposition / planar-subdivision structures of [4]).
+//!   trapezoidal-decomposition / planar-subdivision structures of \[4\]).
 //! * [`locate`] — [`ObstacleIndex`]: logarithmic point containment and
-//!   axis-parallel segment clearance (the other half of the [4] stand-in;
+//!   axis-parallel segment clearance (the other half of the \[4\] stand-in;
 //!   replaces the `O(n)` scans on the Section 6.4 query hot path).
 //! * [`bq`] — the boundary discretisation `B(Q)` of Definition 1 (Fig. 3)
 //!   and the coordinate-grid superset `B'(Q)` used by the divide-and-conquer.

@@ -1,7 +1,7 @@
 //! Logarithmic point location over disjoint rectangular obstacles.
 //!
 //! The paper's Section 6.4 query structure leans on a planar point-location
-//! structure from [4] to decide, in `O(log n)`, whether a query point lies
+//! structure from \[4\] to decide, in `O(log n)`, whether a query point lies
 //! inside an obstacle and whether an axis-parallel segment is clear.  The
 //! naive stand-ins ([`ObstacleSet::containing_obstacle`] and
 //! [`ObstacleSet::segment_clear`]) scan all `n` rectangles, which silently

@@ -8,7 +8,7 @@
 //!
 //! Two implementations are provided: a naive `O(n)` scan (used for small
 //! inputs and as a cross-check) and a segment-tree index with
-//! `O(log^2 n)`-ish queries (our stand-in for the [4] planar point-location
+//! `O(log^2 n)`-ish queries (our stand-in for the \[4\] planar point-location
 //! structure — same role, logarithmic query time).
 
 use crate::point::{Coord, Dir, Point};
@@ -125,7 +125,7 @@ impl<'a, T> Carry<'a, T> {
     }
 }
 
-/// Slab-column accounting of a [`DirIndex`] build: how many positions
+/// Slab-column accounting of a `DirIndex` build: how many positions
 /// copied their sorted slab from the base epoch's index versus how many
 /// were filled from the edge list.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

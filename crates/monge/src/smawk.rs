@@ -1,8 +1,8 @@
 //! SMAWK row minima of totally monotone matrices.
 //!
 //! This is the classical ingredient behind Lemma 3 of the paper (fast
-//! multiplication of Monge matrices, via Aggarwal–Park [1] / Apostolico et
-//! al. [3]): the row-minima of an `n x m` totally monotone matrix can be
+//! multiplication of Monge matrices, via Aggarwal–Park \[1\] / Apostolico et
+//! al. \[3\]): the row-minima of an `n x m` totally monotone matrix can be
 //! found with `O(n + m)` evaluations.  The matrix is given implicitly by an
 //! evaluation closure so that the product matrices `A(i,k) + B(k,j)` never
 //! need to be materialised.

@@ -1,4 +1,4 @@
-//! Euler-tour tree computations — the paper's reference [36]
+//! Euler-tour tree computations — the paper's reference \[36\]
 //! (Tarjan–Vishkin).  The paper uses the Euler-tour technique to (a) extract
 //! the root path of a node in the trapezoid forest (Path Tracing Lemma 6) and
 //! (b) compute node depths in shortest-path trees (Section 8).

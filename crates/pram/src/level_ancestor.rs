@@ -1,4 +1,4 @@
-//! Level-ancestor queries — the paper's reference [5] (Berkman–Vishkin).
+//! Level-ancestor queries — the paper's reference \[5\] (Berkman–Vishkin).
 //!
 //! Section 8 of the paper uses level-ancestor queries to cut a reported
 //! shortest path (a root path in a shortest-path tree) into `⌈k / log n⌉`

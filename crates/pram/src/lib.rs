@@ -8,9 +8,9 @@
 //! PRAM building blocks the reproduction actually calls, implemented on top
 //! of rayon:
 //!
-//! * [`euler`] — Euler-tour tree computations (Tarjan–Vishkin, ref [36]):
+//! * [`euler`] — Euler-tour tree computations (Tarjan–Vishkin, ref \[36\]):
 //!   depths and root paths in rooted forests;
-//! * [`level_ancestor`] — level-ancestor queries (Berkman–Vishkin, ref [5]),
+//! * [`level_ancestor`] — level-ancestor queries (Berkman–Vishkin, ref \[5\]),
 //!   realised with jump pointers (`O(n log n)` preprocessing, `O(log n)`
 //!   query; the substitution is documented in DESIGN.md §3);
 //! * [`pool`] — helpers to run a closure on a pool of exactly `p` workers

@@ -2,8 +2,8 @@
 //!
 //! One [`Client`] owns one connection and drives the strict
 //! request/response cycle; typed wrapper methods hide the enum plumbing so
-//! calling the server reads like calling a local [`Router`]
-//! (`rsp_core::router::Router`).  Server-side failures surface as
+//! calling the server reads like calling a local
+//! [`Router`](rsp_core::router::Router).  Server-side failures surface as
 //! [`ClientError::Server`] with the full typed evidence; transport and
 //! codec failures as [`ClientError::Wire`]; a response of the wrong shape
 //! (a server bug) as [`ClientError::UnexpectedResponse`].

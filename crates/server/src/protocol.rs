@@ -41,8 +41,9 @@ use std::io::{Read, Write};
 /// [`ServerError::DegenerateObstacle`] mirror.  v6: the
 /// [`ServerError::CoordinateOutOfRange`] mirror.  v7: binary payloads
 /// replace JSON text; the message types are unchanged.  v8: the
-/// [`ServerError::Internal`] reply to a request whose handler panicked.)
-pub const PROTOCOL_VERSION: u8 = 8;
+/// [`ServerError::Internal`] reply to a request whose handler panicked.
+/// v9: the [`ServerError::TooManyConnections`] refusal.)
+pub const PROTOCOL_VERSION: u8 = 9;
 
 /// Upper bound on a frame's payload length in bytes (16 MiB).
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
@@ -248,6 +249,13 @@ pub enum ServerError {
         /// The panic message (or a placeholder for a non-string payload).
         message: String,
     },
+    /// The server already serves its maximum number of connections.  It is
+    /// the only reply on the refused connection, which the server then
+    /// closes; the client may reconnect later.
+    TooManyConnections {
+        /// The server's connection cap.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -258,6 +266,9 @@ impl std::fmt::Display for ServerError {
             }
             ServerError::ShuttingDown => write!(f, "the server is shutting down"),
             ServerError::Internal { message } => write!(f, "internal server error: {message}"),
+            ServerError::TooManyConnections { limit } => {
+                write!(f, "the server is serving its limit of {limit} connections; retry later")
+            }
             other => match other.clone().into_rsp() {
                 Some(e) => write!(f, "{e}"),
                 None => unreachable!("every non-server-side variant mirrors an RspError"),
@@ -303,7 +314,10 @@ impl ServerError {
             ServerError::ThreadPool { message } => Some(RspError::ThreadPool(message)),
             ServerError::InvalidDelta { error } => Some(RspError::InvalidDelta(error)),
             ServerError::CoordinateOutOfRange { point } => Some(RspError::CoordinateOutOfRange(point)),
-            ServerError::UnknownScene { .. } | ServerError::ShuttingDown | ServerError::Internal { .. } => None,
+            ServerError::UnknownScene { .. }
+            | ServerError::ShuttingDown
+            | ServerError::Internal { .. }
+            | ServerError::TooManyConnections { .. } => None,
         }
     }
 }
@@ -677,7 +691,7 @@ mod tests {
             (Request::Stats, &[6]),
             (Request::Evict { scene: 3 }, &[7, 3]),
         ];
-        assert_eq!(PROTOCOL_VERSION, 8, "re-pin the golden bytes when the version changes");
+        assert_eq!(PROTOCOL_VERSION, 9, "re-pin the golden bytes when the version changes");
         for (request, payload) in golden {
             assert_eq!(framed(&request), frame(payload), "{request:?}");
             roundtrip(&request);
@@ -685,6 +699,9 @@ mod tests {
         // The v8 variant: `Response::Error` (8) holding `Internal` (12).
         let internal = Response::Error { error: ServerError::Internal { message: "boom".into() } };
         assert_eq!(framed(&internal), frame(&[8, 12, 4, b'b', b'o', b'o', b'm']));
+        // The v9 variant: `Response::Error` (8) holding `TooManyConnections` (13).
+        let refusal = Response::Error { error: ServerError::TooManyConnections { limit: 300 } };
+        assert_eq!(framed(&refusal), frame(&[8, 13, 0xac, 0x02]));
     }
 
     #[test]
@@ -793,5 +810,10 @@ mod tests {
         assert!(msg.contains("obstacle 2"), "{msg}");
         assert!(ServerError::UnknownScene { scene: 0xabcd }.to_string().contains("0x000000000000abcd"));
         assert_eq!(ServerError::Internal { message: "boom".into() }.to_string(), "internal server error: boom");
+        assert_eq!(
+            ServerError::TooManyConnections { limit: 2 }.to_string(),
+            "the server is serving its limit of 2 connections; retry later"
+        );
+        assert_eq!(ServerError::TooManyConnections { limit: 2 }.into_rsp(), None);
     }
 }

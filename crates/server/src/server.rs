@@ -11,6 +11,12 @@
 //! serving.  [`Server::shutdown`] (also run
 //! on drop) closes the listener and every open connection, then joins all
 //! threads.
+//!
+//! Two private bounds keep clients from exhausting the server's threads.
+//! At most `MAX_CONNECTIONS` connections are served at once: a client past
+//! the cap is answered with one [`ServerError::TooManyConnections`] frame
+//! and disconnected.  A connection that sends nothing for `IDLE_TIMEOUT`
+//! (between requests or mid-frame) is closed, releasing its thread.
 
 use crate::protocol::{read_message, write_message, Request, Response, ServerError, WireError};
 use crate::service::RspService;
@@ -23,8 +29,26 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Most connections served at once.
+const MAX_CONNECTIONS: usize = 1024;
+
+/// How long a connection may wait for its client's next bytes before the
+/// server closes it.  Generous: closed-loop clients send their next request
+/// as soon as the last answer arrives, and even a client that thinks between
+/// requests rarely idles for minutes.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// The connection bounds a server runs with (`MAX_CONNECTIONS` and
+/// `IDLE_TIMEOUT`; tests shrink them).
+#[derive(Clone, Copy)]
+struct Limits {
+    max_connections: usize,
+    idle_timeout: Duration,
+}
+
 struct ServerShared {
     service: RspService,
+    limits: Limits,
     shutdown: AtomicBool,
     /// Clones of every live connection's stream, keyed by connection id, so
     /// shutdown can unblock reader threads by closing their sockets.  Each
@@ -44,10 +68,18 @@ impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
     /// accepting connections for `service`.
     pub fn bind<A: ToSocketAddrs>(addr: A, service: RspService) -> io::Result<Server> {
+        Self::bind_with(addr, service, Limits { max_connections: MAX_CONNECTIONS, idle_timeout: IDLE_TIMEOUT })
+    }
+
+    fn bind_with<A: ToSocketAddrs>(addr: A, service: RspService, limits: Limits) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared =
-            Arc::new(ServerShared { service, shutdown: AtomicBool::new(false), conns: Mutex::new(HashMap::new()) });
+        let shared = Arc::new(ServerShared {
+            service,
+            limits,
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+        });
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
         let accept_conn_threads = Arc::clone(&conn_threads);
@@ -108,9 +140,18 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, threads: &Arc
             continue;
         };
         let _ = stream.set_nodelay(true);
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().expect("server conns poisoned").insert(id, clone);
+        {
+            let mut conns = shared.conns.lock().expect("server conns poisoned");
+            if conns.len() >= shared.limits.max_connections {
+                drop(conns);
+                refuse(stream, shared.limits.max_connections);
+                continue;
+            }
+            // A connection shutdown could not close is not served at all.
+            let Ok(clone) = stream.try_clone() else { continue };
+            conns.insert(id, clone);
         }
+        let _ = stream.set_read_timeout(Some(shared.limits.idle_timeout));
         let conn_shared = Arc::clone(shared);
         let spawned =
             std::thread::Builder::new().name("rsp-conn".into()).spawn(move || serve_conn(id, stream, &conn_shared));
@@ -122,9 +163,20 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, threads: &Arc
     }
 }
 
+/// Answer a connection past the cap with one typed refusal and close it,
+/// without reading from it.  The frame is small enough for the socket's send
+/// buffer, and the write timeout bounds the accept loop's wait if it is not.
+fn refuse(mut stream: TcpStream, limit: usize) {
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let error = ServerError::TooManyConnections { limit: limit as u64 };
+    if write_message(&mut stream, &Response::Error { error }).is_ok() {
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+    }
+}
+
 /// One connection: a strict request/response loop.  Ends (closing the
 /// connection and dropping its entry in `conns`) on peer disconnect, any
-/// framing error, or server shutdown.
+/// framing error, an idle read timeout, or server shutdown.
 fn serve_conn(id: u64, mut stream: TcpStream, shared: &ServerShared) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         let request: Request = match read_message(&mut stream) {
@@ -146,8 +198,8 @@ fn serve_conn(id: u64, mut stream: TcpStream, shared: &ServerShared) {
 /// `conns` cleanup, and the client would wait on an open socket until the
 /// server shut down.  Asserting unwind safety is sound: the service's
 /// shared state is behind locks that either recover their guard (the
-/// router's tree lock and row cache) or are never held across a call that
-/// can panic.
+/// router's tree lock and row cache, the session map) or are never held
+/// across a call that can panic.
 fn guarded(handle: impl FnOnce() -> Response) -> Response {
     catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|payload| {
         let message = match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
@@ -162,7 +214,7 @@ fn guarded(handle: impl FnOnce() -> Response) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Client, ServiceConfig};
+    use crate::{Client, ClientError, ServiceConfig};
     use rsp_geom::{ObstacleSet, Point, Rect};
     use std::time::Instant;
 
@@ -183,6 +235,46 @@ mod tests {
         let opaque = guarded(|| std::panic::panic_any(42u8));
         assert!(matches!(opaque, Response::Error { error: ServerError::Internal { .. } }), "{opaque:?}");
         assert_eq!(guarded(|| Response::Evicted { existed: true }), Response::Evicted { existed: true });
+    }
+
+    #[test]
+    fn a_client_past_the_connection_cap_gets_a_typed_refusal() {
+        let limits = Limits { max_connections: 2, idle_timeout: IDLE_TIMEOUT };
+        let server = Server::bind_with("127.0.0.1:0", RspService::new(ServiceConfig::default()), limits).unwrap();
+        let mut first = Client::connect(server.addr()).unwrap();
+        let mut second = Client::connect(server.addr()).unwrap();
+        first.stats().unwrap();
+        second.stats().unwrap();
+        let mut third = Client::connect(server.addr()).unwrap();
+        let refused = third.stats().unwrap_err();
+        assert_eq!(refused, ClientError::Server(ServerError::TooManyConnections { limit: 2 }));
+        // The refused connection is closed; the admitted ones keep serving.
+        assert!(matches!(third.stats(), Err(ClientError::Wire(_))));
+        first.stats().unwrap();
+        // A slot freed by a disconnect admits the next client.
+        drop(second);
+        let open_conns = || server.shared.conns.lock().unwrap().len();
+        wait_until("the closed connection left its slot", || open_conns() == 1);
+        Client::connect(server.addr()).unwrap().stats().unwrap();
+    }
+
+    #[test]
+    fn an_idle_connection_is_released() {
+        let limits = Limits { max_connections: MAX_CONNECTIONS, idle_timeout: Duration::from_millis(200) };
+        let server = Server::bind_with("127.0.0.1:0", RspService::new(ServiceConfig::default()), limits).unwrap();
+        let mut idle = Client::connect(server.addr()).unwrap();
+        idle.stats().unwrap();
+        // A connection that opens and never sends a byte is released too.
+        let _silent = TcpStream::connect(server.addr()).unwrap();
+        let open_conns = || server.shared.conns.lock().unwrap().len();
+        wait_until("both idle connections were closed", || open_conns() == 0);
+        assert!(matches!(idle.stats(), Err(ClientError::Wire(_))), "the server closed the idle connection");
+        // A connection that keeps talking is not idle.
+        let mut busy = Client::connect(server.addr()).unwrap();
+        for _ in 0..10 {
+            std::thread::sleep(Duration::from_millis(20));
+            busy.stats().unwrap();
+        }
     }
 
     #[test]

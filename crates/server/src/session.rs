@@ -30,7 +30,7 @@ use rsp_core::router::Router;
 use rsp_core::store::StoreKind;
 use rsp_geom::ObstacleSet;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 type SessionCell = Arc<OnceLock<Result<Arc<Router>, ServerError>>>;
 
@@ -83,6 +83,15 @@ impl SessionCache {
         }
     }
 
+    /// The session map.  A poisoned lock is recovered: the router build
+    /// runs outside it (inside the entry's `OnceLock`), and every update
+    /// under it inserts or removes a whole entry or bumps a counter, so a
+    /// panic under the guard leaves a usable map.  The one derived figure,
+    /// `stats.resident`, is recomputed from the map on every read.
+    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Resolve (building if necessary) the session for `obstacles`.
     /// Returns the scene id alongside the session so callers can key
     /// follow-up queries.
@@ -110,7 +119,7 @@ impl SessionCache {
         insert: impl FnOnce() -> Option<(SessionCell, Arc<ObstacleSet>)>,
     ) -> Option<Result<Arc<Router>, ServerError>> {
         let (cell, stored) = {
-            let mut inner = self.inner.lock().expect("session cache poisoned");
+            let mut inner = self.lock_inner();
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(entry) = inner.entries.get_mut(&scene) {
@@ -159,7 +168,7 @@ impl SessionCache {
     /// its build succeeded: evicting it would free nothing for the caller,
     /// who still holds its `Arc`.
     fn enforce_limits(&self, resolved: SceneId, built: bool) {
-        let mut inner = self.inner.lock().expect("session cache poisoned");
+        let mut inner = self.lock_inner();
         loop {
             let over_budget = self.budget_bytes != usize::MAX
                 && inner.entries.len() > 1
@@ -207,7 +216,7 @@ impl SessionCache {
     /// Drop a scene's session.  Returns whether it was resident.  In-flight
     /// queries holding the `Arc<Router>` keep it alive until they finish.
     pub fn evict(&self, scene: SceneId) -> bool {
-        let mut inner = self.inner.lock().expect("session cache poisoned");
+        let mut inner = self.lock_inner();
         let existed = inner.entries.remove(&scene).is_some();
         inner.stats.resident = inner.entries.len() as u64;
         existed
@@ -216,7 +225,7 @@ impl SessionCache {
     /// Counter snapshot, including the summed distance-store residency of
     /// the built sessions.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("session cache poisoned");
+        let inner = self.lock_inner();
         let mut stats = inner.stats;
         stats.resident = inner.entries.len() as u64;
         stats.resident_bytes = inner.entries.values().map(Self::session_bytes).sum::<usize>() as u64;
@@ -228,7 +237,7 @@ impl SessionCache {
     /// stable.  Sessions mid-build or holding a cached error are omitted —
     /// they have no store to report.
     pub fn store_stats(&self) -> Vec<SessionStoreStats> {
-        let inner = self.inner.lock().expect("session cache poisoned");
+        let inner = self.lock_inner();
         let mut out: Vec<SessionStoreStats> = inner
             .entries
             .iter()
@@ -397,6 +406,39 @@ mod tests {
         assert!(cache.lookup(id0).is_ok(), "a failed load must not evict a valid tenant");
         assert!(cache.lookup(id1).is_ok(), "a failed load must not evict a valid tenant");
         assert_eq!(cache.stats().resident, 2);
+    }
+
+    #[test]
+    fn a_poisoned_session_map_is_recovered() {
+        let cache = SessionCache::new(2);
+        let (id0, r0) = cache.load(&scene(0));
+        let (id1, _) = cache.load(&scene(100));
+        let poisoner = thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = cache.inner.lock().unwrap();
+                panic!("poison the session map");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(cache.inner.is_poisoned());
+        // Loads and lookups behave exactly as on a fresh cache given the same
+        // sequence: hits return the resident session, capacity still evicts.
+        let fresh = SessionCache::new(2);
+        let _ = fresh.load(&scene(0));
+        let _ = fresh.load(&scene(100));
+        assert!(Arc::ptr_eq(&cache.lookup(id0).unwrap(), &r0.unwrap()));
+        assert!(fresh.lookup(id0).is_ok());
+        let (id2, r2) = cache.load(&scene(200));
+        let (fresh_id2, fresh_r2) = fresh.load(&scene(200));
+        assert_eq!(id2, fresh_id2);
+        let (a, b) = (rsp_geom::Point::new(195, -3), rsp_geom::Point::new(212, 9));
+        assert_eq!(r2.unwrap().distance(a, b).unwrap(), fresh_r2.unwrap().distance(a, b).unwrap());
+        assert_eq!(cache.lookup(id1).err(), fresh.lookup(id1).err());
+        assert_eq!(cache.stats(), fresh.stats());
+        assert_eq!(cache.store_stats(), fresh.store_stats());
+        assert!(cache.evict(id2) && fresh.evict(fresh_id2));
+        assert_eq!(cache.stats(), fresh.stats());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use proptest::prelude::*;
 use rectilinear_shortest_paths::core::apsp::VertexApsp;
+use rectilinear_shortest_paths::core::plan::plan_vertex_pairs_with;
 use rectilinear_shortest_paths::core::store::{default_budget_bytes, dense_bytes_for};
 use rectilinear_shortest_paths::geom::hanan::ground_truth_distance;
 use rectilinear_shortest_paths::workload::{clustered, corridors, query_pairs, uniform_disjoint};
@@ -152,6 +153,110 @@ proptest! {
             prop_assert_eq!(p, &router.path(s, t).expect("per-call path"));
         }
     }
+}
+
+/// The vertex-pair items and mixed-pair rows of a batch, indexed the way
+/// `Router::distances` feeds them to the planner.
+fn plan_inputs(router: &Router, pairs: &[(Point, Point)]) -> (Vec<(usize, usize, usize)>, Vec<usize>) {
+    let oracle = router.oracle();
+    let apsp = oracle.apsp();
+    let mut items = Vec::new();
+    let mut mixed = Vec::new();
+    for (k, &(a, b)) in pairs.iter().enumerate() {
+        match (apsp.vertex_index(a), apsp.vertex_index(b)) {
+            (Some(i), Some(j)) => items.push((i, j, k)),
+            (i, j) => mixed.extend(i.or(j)),
+        }
+    }
+    (items, mixed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The row cover is a valid plan that is never larger than the
+    /// `min(u, v)` rule, and batches planned by it answer bitwise as
+    /// per-pair calls do.  Batches fan a few sources out to many targets in
+    /// both orientations, with mixed and arbitrary-point pairs mixed in.
+    #[test]
+    fn row_cover_plans_cover_every_pair_with_no_more_rows_than_min_rule(
+        which in 0usize..3,
+        n in 2usize..8,
+        sources in 1usize..4,
+        scene_seed in any::<u64>(),
+        batch_seed in any::<u64>(),
+    ) {
+        let obstacles = family(which, n, scene_seed);
+        let hubs = query_pairs(&obstacles, sources, true, batch_seed);
+        let targets = query_pairs(&obstacles, 12, true, batch_seed + 1);
+        let points = query_pairs(&obstacles, 4, false, batch_seed + 2);
+        prop_assume!(!hubs.is_empty() && !targets.is_empty() && !points.is_empty());
+        let mut pairs: Vec<(Point, Point)> = targets
+            .iter()
+            .enumerate()
+            .map(|(k, &(_, t))| {
+                let s = hubs[k % hubs.len()].0;
+                if k % 3 == 0 { (t, s) } else { (s, t) }
+            })
+            .collect();
+        pairs.extend(points.iter().map(|&(p, _)| (p, hubs[0].1)));
+        pairs.extend_from_slice(&points);
+        pairs.extend_from_slice(&pairs.clone()[..4]);
+        let router = Router::builder(obstacles.clone()).store(starved(&obstacles)).build().expect("valid scene");
+        let (items, mixed) = plan_inputs(&router, &pairs);
+        let plan = plan_vertex_pairs_with(&items, &mixed);
+        prop_assert!(plan.rows.windows(2).all(|w| w[0] < w[1]), "rows are distinct and ascending");
+        prop_assert!(mixed.iter().all(|r| plan.rows.binary_search(r).is_ok()), "forced rows are planned");
+        let mut answered = vec![false; pairs.len()];
+        for lookup in &plan.lookups {
+            prop_assert!(plan.rows.binary_search(&lookup.row).is_ok(), "row {} is not planned", lookup.row);
+            for &slot in &lookup.slots {
+                let (u, v, _) = items.iter().copied().find(|&(_, _, k)| k == slot).expect("a planned slot");
+                prop_assert!((lookup.row, lookup.col) == (u, v) || (lookup.row, lookup.col) == (v, u));
+                prop_assert!(!std::mem::replace(&mut answered[slot], true), "slot {} answered twice", slot);
+            }
+        }
+        prop_assert!(items.iter().all(|&(_, _, k)| answered[k]), "every planned pair is covered");
+        let mut min_rule: Vec<usize> = items.iter().map(|&(u, v, _)| u.min(v)).chain(mixed.iter().copied()).collect();
+        min_rule.sort_unstable();
+        min_rule.dedup();
+        prop_assert!(plan.rows.len() <= min_rule.len(), "{} rows vs {} under min(u, v)", plan.rows.len(), min_rule.len());
+        let batch = router.distances(&pairs).expect("batch");
+        for (&(a, b), &d) in pairs.iter().zip(&batch) {
+            let per_call = router.distance(a, b).expect("per-call");
+            prop_assert!(d == per_call, "{:?} -> {:?}: batch {} vs per-call {}", a, b, d, per_call);
+        }
+    }
+}
+
+/// The `cold_tenant` shape: 8 sources fanned out to 8 targets each on a cold
+/// implicit router.  The batch sweeps exactly the planned rows, once each,
+/// and the cover plans one row per source where `min(u, v)` needs many more.
+#[test]
+fn a_cold_star_batch_sweeps_exactly_its_planned_rows() {
+    let w = uniform_disjoint(48, 3);
+    let row_bytes = 4 * w.n() * std::mem::size_of::<Dist>();
+    let router = Router::builder(w.obstacles.clone())
+        .store(StoreKind::Implicit { budget_bytes: 32 * row_bytes })
+        .build()
+        .expect("valid scene");
+    let sources = query_pairs(&w.obstacles, 8, true, 40);
+    let targets = query_pairs(&w.obstacles, 64, true, 41);
+    let pairs: Vec<(Point, Point)> = targets.iter().enumerate().map(|(k, &(_, t))| (sources[k / 8].0, t)).collect();
+    let (items, mixed) = plan_inputs(&router, &pairs);
+    assert!(mixed.is_empty());
+    let plan = plan_vertex_pairs_with(&items, &mixed);
+    let min_rule = items.iter().map(|&(u, v, _)| u.min(v)).collect::<std::collections::HashSet<_>>().len();
+    assert!(plan.rows.len() <= 8, "one row per source: {:?}", plan.rows);
+    assert!(2 * plan.rows.len() < min_rule, "{} cover rows vs {min_rule} under min(u, v)", plan.rows.len());
+    let before = router.memory_stats();
+    assert_eq!((before.row_hits, before.row_misses), (0, 0), "the router is cold");
+    let got = router.distances(&pairs).expect("batch");
+    let stats = router.memory_stats();
+    assert_eq!(stats.row_misses as usize, plan.rows.len(), "one sweep per planned row");
+    assert_eq!(stats.pinned_bytes, 0);
+    let dense = Router::builder(w.obstacles.clone()).store(StoreKind::Dense).build().expect("valid scene");
+    assert_eq!(got, dense.distances(&pairs).expect("batch"), "bitwise-identical to dense");
 }
 
 /// `StoreKind::Auto` is the deployment default, so its resolution is part of
