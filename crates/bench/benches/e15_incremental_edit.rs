@@ -14,8 +14,9 @@
 //! the nearer fixture: a single-obstacle change whose keep-test distance
 //! bound (≥ 8000) dwarfs every in-cluster distance, so the delta build
 //! carries the resident rows, every escape staircase (bbox unchanged) and
-//! all but a handful of slab columns — and, having nothing to sweep, never
-//! builds the row-provider skeleton at all.
+//! all but a handful of slab columns of the epoch's one `ObstacleIndex`
+//! (the oracle and the row sweeps share it).  Having nothing to sweep, it
+//! never builds the row engine's four `O(n)` case views at all.
 //!
 //! * `delta_edit` — the warm session absorbs the removal via `apply_delta`,
 //!   then re-estimates the same 64 vertex nets it served before the edit.

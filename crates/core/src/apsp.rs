@@ -14,7 +14,7 @@ use crate::delta::DeltaBase;
 use crate::seq::SingleSourceEngine;
 use crate::store::{DistanceStore, RowCarry, StoreKind};
 use rayon::prelude::*;
-use rsp_geom::{Dist, ObstacleSet, Point, INF};
+use rsp_geom::{Dist, ObstacleIndex, ObstacleSet, Point, INF};
 use rsp_monge::MinPlusMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,7 +33,7 @@ pub struct VertexApsp {
 impl VertexApsp {
     /// Build the dense matrix, parallelising over the `4n` sources.
     pub fn build(obstacles: &ObstacleSet) -> Self {
-        Self::build_with(Arc::new(obstacles.clone()), StoreKind::Dense, None).0
+        Self::build_fresh(obstacles, StoreKind::Dense)
     }
 
     /// Build the dense matrix sequentially (the Section 9 baseline); used by
@@ -47,20 +47,29 @@ impl VertexApsp {
 
     /// Build an *implicit* structure: no matrix is materialised; distance
     /// rows are generated on demand by the same single-source engine the
-    /// dense builders fan out over, and cached under `budget_bytes`.
+    /// dense builders fan out over, and cached under `budget_bytes`.  The
+    /// [`ObstacleIndex`] the engine shoots through is built here, in
+    /// `O(n log n)`.
     pub fn build_implicit(obstacles: &ObstacleSet, budget_bytes: usize) -> Self {
-        Self::build_with(Arc::new(obstacles.clone()), StoreKind::Implicit { budget_bytes }, None).0
+        Self::build_fresh(obstacles, StoreKind::Implicit { budget_bytes })
     }
 
-    /// Build over the distance store `kind` names, carrying rows from
-    /// `base` (see [`DistanceStore::build`]).
+    fn build_fresh(obstacles: &ObstacleSet, kind: StoreKind) -> Self {
+        let index = Arc::new(ObstacleIndex::build(obstacles));
+        Self::build_with(Arc::new(obstacles.clone()), index, kind, None).0
+    }
+
+    /// Build over the distance store `kind` names, sweeping through `index`
+    /// (the [`ObstacleIndex`] of `obstacles`) and carrying rows from `base`
+    /// (see [`DistanceStore::build`]).
     pub(crate) fn build_with(
         obstacles: Arc<ObstacleSet>,
+        index: Arc<ObstacleIndex>,
         kind: StoreKind,
         base: Option<&DeltaBase>,
     ) -> (Self, RowCarry) {
         let vertices = obstacles.vertices();
-        let (store, carry) = DistanceStore::build(obstacles, kind, base);
+        let (store, carry) = DistanceStore::build(obstacles, index, kind, base);
         (Self::from_store(vertices, store), carry)
     }
 

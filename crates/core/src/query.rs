@@ -41,7 +41,8 @@ const FAR: Coord = 1 << 40;
 pub struct PathLengthOracle {
     obstacles: Arc<ObstacleSet>,
     apsp: VertexApsp,
-    index: ObstacleIndex,
+    /// Shared with the distance store's row engine, which shoots through it.
+    index: Arc<ObstacleIndex>,
     /// `chains[k][v]` — escape staircase of vertex `v` into quadrant `k`
     /// (0 = NE, 1 = NW, 2 = SE, 3 = SW), extended to infinity.
     chains: [Vec<Chain>; 4],
@@ -215,26 +216,36 @@ impl PathLengthOracle {
     /// `base` every distance row, escape staircase and slab column the edit
     /// provably cannot affect (see [`DistanceStore::build`](crate::store::DistanceStore::build)
     /// and [`PathLengthOracle::from_apsp_with`]).
+    ///
+    /// The [`ObstacleIndex`] is built (or carried) first and shared: the
+    /// store's row engine shoots through the same index the oracle queries,
+    /// so an epoch builds exactly one.
     pub(crate) fn build_with(
         obstacles: Arc<ObstacleSet>,
         kind: StoreKind,
         base: Option<&DeltaBase>,
     ) -> (Self, OracleReuse) {
-        let (apsp, rows) = VertexApsp::build_with(Arc::clone(&obstacles), kind, base);
-        let (oracle, reuse) = Self::from_apsp_with(obstacles, apsp, base);
-        (oracle, OracleReuse { rows, ..reuse })
+        let index_base =
+            base.map(|b| Carry { old: &*b.oracle.index, old_to_new: &b.old_to_new_rect, edited: &b.edited });
+        let (index, slab_columns) = ObstacleIndex::build_with(&obstacles, index_base);
+        let index = Arc::new(index);
+        let (apsp, rows) = VertexApsp::build_with(Arc::clone(&obstacles), Arc::clone(&index), kind, base);
+        let (oracle, reuse) = Self::from_apsp_with(obstacles, apsp, index, base);
+        (oracle, OracleReuse { rows, slab_columns, ..reuse })
     }
 
     /// Build from an existing vertex matrix and a shared obstacle set.
     pub fn from_apsp(obstacles: Arc<ObstacleSet>, apsp: VertexApsp) -> Self {
-        Self::from_apsp_with(obstacles, apsp, None).0
+        let index = Arc::new(ObstacleIndex::build(&obstacles));
+        Self::from_apsp_with(obstacles, apsp, index, None).0
     }
 
-    /// Build the obstacle index and the escape staircases around `apsp`,
-    /// copying from `base` every staircase and slab column the edit provably
-    /// cannot affect.  The oracle answers every query the same with or
-    /// without a base.  The four staircase families are built concurrently
-    /// over [`rayon::join`], each fanning out over its vertices.
+    /// Build the escape staircases around `apsp` and `index` (the
+    /// [`ObstacleIndex`] of `obstacles`), copying from `base` every
+    /// staircase the edit provably cannot affect.  The oracle answers every
+    /// query the same with or without a base.  The four staircase families
+    /// are built concurrently over [`rayon::join`], each fanning out over
+    /// its vertices.
     ///
     /// Chain reuse soundness: every shot, slide and exit segment of
     /// [`escape_path`] lies *on* the resulting chain.  If no edited closed
@@ -247,11 +258,13 @@ impl PathLengthOracle {
     /// additionally carries only if the obstacle bounding box is unchanged
     /// (the clip region derives from it) and its vertex survived the
     /// compaction.
-    fn from_apsp_with(obstacles: Arc<ObstacleSet>, apsp: VertexApsp, base: Option<&DeltaBase>) -> (Self, OracleReuse) {
+    fn from_apsp_with(
+        obstacles: Arc<ObstacleSet>,
+        apsp: VertexApsp,
+        index: Arc<ObstacleIndex>,
+        base: Option<&DeltaBase>,
+    ) -> (Self, OracleReuse) {
         use rayon::prelude::*;
-        let index_base =
-            base.map(|b| Carry { old: &b.oracle.index, old_to_new: &b.old_to_new_rect, edited: &b.edited });
-        let (index, slab_columns) = ObstacleIndex::build_with(&obstacles, index_base);
         let bbox = obstacles.bbox().unwrap_or(Rect::new(0, 0, 1, 1)).expand(8);
         let chain_base = base.filter(|b| b.oracle.obstacles.bbox().map(|b| b.expand(8)) == Some(bbox));
         let region = StairRegion::from_rect(bbox);
@@ -286,7 +299,7 @@ impl PathLengthOracle {
         );
         let chains_reused = r0 + r1 + r2 + r3;
         let chains_rebuilt = 4 * vertices.len() - chains_reused;
-        let reuse = OracleReuse { rows: RowCarry::default(), chains_reused, chains_rebuilt, slab_columns };
+        let reuse = OracleReuse { chains_reused, chains_rebuilt, ..OracleReuse::default() };
         (PathLengthOracle { obstacles, apsp, index, chains: [ne, nw, se, sw] }, reuse)
     }
 
@@ -318,7 +331,7 @@ impl PathLengthOracle {
     }
 
     /// Shared containment/segment index (logarithmic point location).
-    pub(crate) fn obstacle_index(&self) -> &ObstacleIndex {
+    pub(crate) fn obstacle_index(&self) -> &Arc<ObstacleIndex> {
         &self.index
     }
 

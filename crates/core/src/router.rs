@@ -1160,4 +1160,48 @@ mod tests {
         let global = Router::new(sample()).unwrap();
         assert!(global.apply_delta(&SceneDelta::removing(vec![0])).unwrap().pool.is_none());
     }
+
+    /// The distance store's row engine shoots through the oracle's own
+    /// `ObstacleIndex`, on a fresh load and on an edited epoch, on both
+    /// stores.  Each engine is built on the calling thread here (the router
+    /// has no pinned pool, and engines are forced before any fan-out), so
+    /// `LAST_ENGINE_INDEX` names the index of the engine the batch swept
+    /// with.
+    #[test]
+    fn row_engine_and_oracle_share_one_obstacle_index() {
+        use crate::store::tests::LAST_ENGINE_INDEX;
+        let base = uniform_disjoint(24, 5).obstacles;
+        // Replace rectangle 7 by a smaller one inside it: the edit sits in
+        // the scene, so the edited epoch re-sweeps rows.
+        let r = base.rect(7);
+        let delta =
+            SceneDelta { remove: vec![7], insert: vec![Rect::new(r.xmin + 1, r.ymin + 1, r.xmax - 1, r.ymax - 1)] };
+        let edited_set = base.apply_delta(&delta).unwrap().obstacles;
+        for store in [StoreKind::Dense, StoreKind::Implicit { budget_bytes: usize::MAX }] {
+            let parent = Router::builder(base.clone()).store(store).build().unwrap();
+            let child = parent.apply_delta(&delta).unwrap();
+            for (router, what) in [(&parent, "fresh load"), (&child, "edited epoch")] {
+                LAST_ENGINE_INDEX.with(|w| *w.borrow_mut() = std::sync::Weak::new());
+                let verts = router.obstacles().vertices();
+                // The last corner is the inserted rectangle's on the edited
+                // epoch, whose row no edit can carry.
+                let pairs = [(verts[verts.len() - 1], verts[0]), (verts[3], verts[40]), (verts[12], verts[90])];
+                router.distances(&pairs).unwrap();
+                let engine_index = LAST_ENGINE_INDEX.with(|w| w.borrow().upgrade()).expect("the batch swept rows");
+                assert!(
+                    Arc::ptr_eq(&engine_index, router.oracle().obstacle_index()),
+                    "{store:?}, {what}: the row engine built its own index"
+                );
+            }
+            // The edited epoch's rows equal a fresh build's, bitwise.
+            let fresh = Router::builder(edited_set.clone()).store(store).build().unwrap();
+            let (child_oracle, fresh_oracle) = (child.oracle(), fresh.oracle());
+            let (child_apsp, fresh_apsp) = (child_oracle.apsp(), fresh_oracle.apsp());
+            for i in 0..fresh_apsp.len() {
+                for j in 0..fresh_apsp.len() {
+                    assert_eq!(child_apsp.distance(i, j), fresh_apsp.distance(i, j), "{store:?}: ({i}, {j})");
+                }
+            }
+        }
+    }
 }

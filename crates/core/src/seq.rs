@@ -23,10 +23,18 @@
 //!
 //! Taking the minimum over the four symmetric cases therefore yields exact
 //! distances for every obstacle vertex.
+//!
+//! The four cases are four frames of one scene.  Each frame keeps only its
+//! transformed rectangles, vertices and clip region (`O(n)`); all four shoot
+//! their rays through one [`ObstacleIndex`] of the untransformed scene, by
+//! mapping each shot into the original frame and its hit back.  A router
+//! hands the engine the index its query oracle already carries across scene
+//! edits, so an engine costs `O(n)` on top of that shared index.
 
-use rsp_geom::rayshoot::ShootIndex;
-use rsp_geom::{Dist, ObstacleSet, Point, Rect, StairRegion, INF};
+use rsp_geom::rayshoot::{Hit, Shoot, ShootIndex};
+use rsp_geom::{Dir, Dist, ObstacleIndex, ObstacleSet, Point, Rect, StairRegion, INF};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::trace::{escape_path, EscapeKind};
 
@@ -59,6 +67,24 @@ impl CaseTransform {
         }
     }
 
+    /// The direction `dir` maps to; an involution like [`CaseTransform::apply`].
+    fn apply_dir(self, dir: Dir) -> Dir {
+        match (self, dir) {
+            (CaseTransform::Identity, d) => d,
+            (CaseTransform::ReflectX, Dir::East) => Dir::West,
+            (CaseTransform::ReflectX, Dir::West) => Dir::East,
+            (CaseTransform::ReflectX, d) => d,
+            (CaseTransform::SwapXY, Dir::North) => Dir::East,
+            (CaseTransform::SwapXY, Dir::East) => Dir::North,
+            (CaseTransform::SwapXY, Dir::South) => Dir::West,
+            (CaseTransform::SwapXY, Dir::West) => Dir::South,
+            (CaseTransform::SwapReflect, Dir::North) => Dir::West,
+            (CaseTransform::SwapReflect, Dir::West) => Dir::North,
+            (CaseTransform::SwapReflect, Dir::South) => Dir::East,
+            (CaseTransform::SwapReflect, Dir::East) => Dir::South,
+        }
+    }
+
     fn apply_rect(self, r: &Rect) -> Rect {
         let a = self.apply(Point::new(r.xmin, r.ymin));
         let b = self.apply(Point::new(r.xmax, r.ymax));
@@ -66,42 +92,73 @@ impl CaseTransform {
     }
 }
 
+/// Ray shots in a view's frame, answered by the index of the untransformed
+/// scene: the shot is mapped into the original frame and its hit point
+/// mapped back.  A transform is an isometry that keeps every rectangle's id,
+/// so the hit equals the one an index of the transformed scene would report
+/// (on disjoint input no two facing edges tie, so the id is unambiguous).
+struct ViewShooter<'a> {
+    index: &'a ShootIndex,
+    transform: CaseTransform,
+}
+
+impl Shoot for ViewShooter<'_> {
+    fn shoot(&self, p: Point, dir: Dir) -> Option<Hit> {
+        let t = self.transform;
+        let hit = self.index.shoot(t.apply(p), t.apply_dir(dir))?;
+        Some(Hit { rect: hit.rect, point: t.apply(hit.point) })
+    }
+}
+
+/// One case's frame: the scene under its transform.  Everything here is
+/// `O(n)`; ray shots go through the engine's shared index.
 struct TransformedView {
     transform: CaseTransform,
+    /// transformed obstacles, in the original id order
     obstacles: ObstacleSet,
-    index: ShootIndex,
     /// transformed vertex points, parallel to the *original* vertex indexing
     vertices: Vec<Point>,
     region: StairRegion,
 }
 
-/// Single-source engine over a fixed obstacle set.  Preprocessing is done
-/// once (`O(n log n)`); each [`SingleSourceEngine::distances_from`] call then
+/// Single-source engine over a fixed obstacle set.  Preprocessing is `O(n)`
+/// on top of an [`ObstacleIndex`] of the scene (the four case-transformed
+/// views share it); each [`SingleSourceEngine::distances_from`] call then
 /// costs `O(n log n)` — the role of the de Rezende–Lee–Wu structure in the
 /// paper's Section 9 baseline.
+///
+/// **Precondition:** the obstacles must have pairwise-disjoint interiors
+/// (the paper's input model; check with
+/// [`ObstacleSet::validate_disjoint`]).  Source containment is answered by
+/// [`ObstacleIndex::containing_obstacle`], which relies on it.
 pub struct SingleSourceEngine {
+    index: Arc<ObstacleIndex>,
     views: Vec<TransformedView>,
-    num_vertices: usize,
     original_vertices: Vec<Point>,
 }
 
 impl SingleSourceEngine {
-    /// Preprocess an obstacle set: build the four case-transformed views and
-    /// their ray-shooting indices (Section 9).
+    /// Preprocess an obstacle set: build its [`ObstacleIndex`] and the four
+    /// case-transformed views (Section 9).
     pub fn new(obstacles: &ObstacleSet) -> Self {
+        Self::with_index(obstacles, Arc::new(ObstacleIndex::build(obstacles)))
+    }
+
+    /// Preprocess an obstacle set whose [`ObstacleIndex`] is already built
+    /// (the oracle's, shared rather than rebuilt): only the `O(n)` views.
+    pub(crate) fn with_index(obstacles: &ObstacleSet, index: Arc<ObstacleIndex>) -> Self {
+        debug_assert_eq!(index.len(), obstacles.len(), "index must describe the same scene");
         let original_vertices = obstacles.vertices();
         let views = CaseTransform::ALL
             .iter()
             .map(|&t| {
-                let rects: Vec<Rect> = obstacles.iter().map(|r| t.apply_rect(r)).collect();
-                let tobs = ObstacleSet::new(rects);
-                let index = ShootIndex::build(&tobs);
+                let tobs = ObstacleSet::new(obstacles.iter().map(|r| t.apply_rect(r)).collect());
                 let vertices: Vec<Point> = original_vertices.iter().map(|&p| t.apply(p)).collect();
                 let bbox = tobs.bbox().unwrap_or(Rect::new(-1, -1, 1, 1)).expand(4);
-                TransformedView { transform: t, obstacles: tobs, index, vertices, region: StairRegion::from_rect(bbox) }
+                TransformedView { transform: t, obstacles: tobs, vertices, region: StairRegion::from_rect(bbox) }
             })
             .collect();
-        SingleSourceEngine { views, num_vertices: original_vertices.len(), original_vertices }
+        SingleSourceEngine { index, views, original_vertices }
     }
 
     /// The obstacle vertices, in the indexing used by the returned distance
@@ -110,12 +167,23 @@ impl SingleSourceEngine {
         &self.original_vertices
     }
 
-    /// Exact shortest-path distances from `source` to every obstacle vertex.
+    /// The index every view shoots through.
+    #[cfg(test)]
+    pub(crate) fn obstacle_index(&self) -> &Arc<ObstacleIndex> {
+        &self.index
+    }
+
+    /// Exact shortest-path distances from `source` to every obstacle vertex
+    /// (all `INF` when `source` lies strictly inside an obstacle).
     pub fn distances_from(&self, source: Point) -> Vec<Dist> {
-        let mut dist = vec![INF; self.num_vertices];
+        let mut dist = vec![INF; self.original_vertices.len()];
+        if self.index.containing_obstacle(source).is_some() {
+            return dist;
+        }
         for view in &self.views {
+            let shooter = ViewShooter { index: self.index.shoot_index(), transform: view.transform };
             let tsource = view.transform.apply(source);
-            let case = monotone_case_distances(&view.obstacles, &view.index, &view.region, &view.vertices, tsource);
+            let case = monotone_case_distances(&view.obstacles, &shooter, &view.region, &view.vertices, tsource);
             for (d, best) in case.into_iter().zip(dist.iter_mut()) {
                 if d < *best {
                     *best = d;
@@ -128,9 +196,10 @@ impl SingleSourceEngine {
 
 /// Case (i) sweep: upper bounds on distances from `source` to each vertex
 /// (exact for vertices in the region right of `NE(source) ∪ SE(source)`).
+/// `source` must not lie strictly inside an obstacle.
 fn monotone_case_distances(
     obstacles: &ObstacleSet,
-    index: &ShootIndex,
+    index: &impl Shoot,
     region: &StairRegion,
     vertices: &[Point],
     source: Point,
@@ -144,9 +213,6 @@ fn monotone_case_distances(
         let srect = Rect::new(source.x - 1, source.y - 1, source.x + 1, source.y + 1);
         StairRegion::from_rect(bbox.union(&srect).expand(2))
     };
-    if obstacles.containing_obstacle(source).is_some() {
-        return dist;
-    }
     let ne = escape_path(obstacles, index, &region, source, EscapeKind::NE);
     let se = escape_path(obstacles, index, &region, source, EscapeKind::SE);
     // index vertices by point for the u1/u2 lookups
@@ -187,7 +253,7 @@ fn monotone_case_distances(
             dist[i] = 0;
             continue;
         }
-        let hit = index.shoot(w, rsp_geom::Dir::West);
+        let hit = index.shoot(w, Dir::West);
         let x_obstacle = hit.map(|h| h.point.x);
         let mut best = INF;
         if crossing_before(w, x_obstacle) {
@@ -214,8 +280,164 @@ fn monotone_case_distances(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use rsp_geom::hanan::ground_truth_matrix;
+    use rsp_geom::rayshoot::shoot_naive;
+    use rsp_workload::{clustered, corridors, uniform_disjoint};
+
+    /// The sweep as it was before the views shared one index: every view
+    /// builds a [`ShootIndex`] over its own transformed copy of the scene and
+    /// scans that copy for source containment.  The bitwise reference for
+    /// [`SingleSourceEngine`].
+    struct ReferenceEngine {
+        views: Vec<(TransformedView, ShootIndex)>,
+        num_vertices: usize,
+    }
+
+    impl ReferenceEngine {
+        fn new(obstacles: &ObstacleSet) -> Self {
+            let engine = SingleSourceEngine::new(obstacles);
+            let num_vertices = engine.original_vertices.len();
+            let views = engine
+                .views
+                .into_iter()
+                .map(|view| {
+                    let index = ShootIndex::build(&view.obstacles);
+                    (view, index)
+                })
+                .collect();
+            ReferenceEngine { views, num_vertices }
+        }
+
+        fn distances_from(&self, source: Point) -> Vec<Dist> {
+            let mut dist = vec![INF; self.num_vertices];
+            for (view, index) in &self.views {
+                let tsource = view.transform.apply(source);
+                if view.obstacles.containing_obstacle(tsource).is_some() {
+                    continue;
+                }
+                let case = monotone_case_distances(&view.obstacles, index, &view.region, &view.vertices, tsource);
+                for (d, best) in case.into_iter().zip(dist.iter_mut()) {
+                    if d < *best {
+                        *best = d;
+                    }
+                }
+            }
+            dist
+        }
+    }
+
+    /// Grid tiles with random row and column widths: neighbouring tiles
+    /// share whole edges and corners.
+    fn touching_tiles(n: usize, seed: u64) -> ObstacleSet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cuts = || -> Vec<i64> {
+            let mut c = vec![rng.gen_range(-10i64..10)];
+            for _ in 0..5 {
+                let last = *c.last().unwrap();
+                c.push(last + rng.gen_range(1i64..6));
+            }
+            c
+        };
+        let (xs, ys) = (cuts(), cuts());
+        let mut rects = Vec::new();
+        for i in 0..5 {
+            for j in 0..5 {
+                if rects.len() < n && (rects.is_empty() || rng.gen_range(0..10) < 6) {
+                    rects.push(Rect::new(xs[i], ys[j], xs[i + 1], ys[j + 1]));
+                }
+            }
+        }
+        ObstacleSet::new(rects)
+    }
+
+    /// A scene of one of the workload families (`family` 0–2), or touching
+    /// tiles (3).
+    fn scene(family: u8, n: usize, seed: u64) -> ObstacleSet {
+        match family {
+            0 => uniform_disjoint(n, seed).obstacles,
+            1 => clustered(n, 1 + (seed % 3) as usize, seed).obstacles,
+            2 => corridors(1 + n / 2, 40, seed).obstacles,
+            _ => touching_tiles(n, seed),
+        }
+    }
+
+    /// Points the sweeps and shots start from: every obstacle corner, edge
+    /// midpoints and random edge points, the corners of a box around the
+    /// scene, points outside it and random points anywhere near it.
+    fn probes(obstacles: &ObstacleSet, seed: u64) -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bbox = obstacles.bbox().expect("scenes are non-empty");
+        let mut pts = obstacles.vertices();
+        for r in obstacles.iter() {
+            let (mx, my) = ((r.xmin + r.xmax) / 2, (r.ymin + r.ymax) / 2);
+            pts.extend([
+                Point::new(mx, r.ymin),
+                Point::new(mx, r.ymax),
+                Point::new(r.xmin, my),
+                Point::new(r.xmax, my),
+            ]);
+            pts.push(Point::new(rng.gen_range(r.xmin..=r.xmax), r.ymax));
+            pts.push(Point::new(r.xmin, rng.gen_range(r.ymin..=r.ymax)));
+        }
+        pts.extend(bbox.expand(3).corners());
+        let outer = bbox.expand(40);
+        for _ in 0..8 {
+            let y = rng.gen_range(outer.ymin..=outer.ymax);
+            let x = rng.gen_range(outer.xmin..=outer.xmax);
+            pts.push(Point::new(bbox.xmin - rng.gen_range(1i64..40), y));
+            pts.push(Point::new(bbox.xmax + rng.gen_range(1i64..40), y));
+            pts.push(Point::new(x, bbox.ymin - rng.gen_range(1i64..40)));
+            pts.push(Point::new(x, bbox.ymax + rng.gen_range(1i64..40)));
+        }
+        let near = bbox.expand(5);
+        for _ in 0..16 {
+            pts.push(Point::new(rng.gen_range(near.xmin..=near.xmax), rng.gen_range(near.ymin..=near.ymax)));
+        }
+        pts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Shooting through the shared index in a view's frame reports the
+        /// same hit, rectangle id included, as a naive scan of the
+        /// transformed scene, for every transform and direction.
+        #[test]
+        fn view_shots_match_naive_shots_on_the_transformed_scene(
+            family in 0u8..4, n in 1usize..16, seed in any::<u64>(),
+        ) {
+            let obstacles = scene(family, n, seed);
+            let index = ObstacleIndex::build(&obstacles);
+            let probes = probes(&obstacles, seed);
+            for t in CaseTransform::ALL {
+                let tobs = ObstacleSet::new(obstacles.iter().map(|r| t.apply_rect(r)).collect());
+                let shooter = ViewShooter { index: index.shoot_index(), transform: t };
+                for &p in &probes {
+                    let q = t.apply(p);
+                    for dir in Dir::ALL {
+                        let (got, want) = (shooter.shoot(q, dir), shoot_naive(&tobs, q, dir, None));
+                        prop_assert!(got == want, "{t:?} from {q:?} {dir:?}: {got:?} != {want:?}");
+                    }
+                }
+            }
+        }
+
+        /// The engine's rows equal the four-index reference bitwise, from
+        /// vertex sources and from arbitrary sources (outside the scene, on
+        /// obstacle edges, at corners, inside obstacles).
+        #[test]
+        fn shared_index_rows_equal_the_four_index_sweep(family in 0u8..4, n in 1usize..14, seed in any::<u64>()) {
+            let obstacles = scene(family, n, seed);
+            let engine = SingleSourceEngine::new(&obstacles);
+            let reference = ReferenceEngine::new(&obstacles);
+            for &source in &probes(&obstacles, seed ^ 1) {
+                let row = engine.distances_from(source);
+                prop_assert!(row == reference.distances_from(source), "family {family}, source {source:?}");
+            }
+        }
+    }
 
     fn random_disjoint(n: usize, seed: u64) -> ObstacleSet {
         let mut rng = StdRng::seed_from_u64(seed);

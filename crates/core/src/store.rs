@@ -30,7 +30,7 @@
 use crate::block_cache::BlockCache;
 use crate::delta::DeltaBase;
 use crate::seq::SingleSourceEngine;
-use rsp_geom::{Dist, ObstacleSet};
+use rsp_geom::{Dist, ObstacleIndex, ObstacleSet};
 use rsp_monge::MinPlusMatrix;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -116,32 +116,37 @@ pub struct StoreStats {
     pub pinned_bytes: usize,
 }
 
-/// The Section 9 single-source engine behind an implicit store, built on the
-/// first *sweep*, not at store construction.
+/// The Section 9 single-source engine behind a store, built on the first
+/// *sweep*, not at store construction.
 ///
-/// The engine's skeleton (the four case-transformed ray-shooting views) only
-/// matters on a row miss, and its build is the dominant fixed cost of an
-/// implicit store at large `n`.  Deferring it keeps a fresh store's
-/// construction O(1), and — the case it exists for — lets a store carried
-/// over an edit ([`DistanceStore::build`] with a base) whose first batch is
-/// answered entirely from carried rows skip the skeleton build outright,
-/// which is what makes edit→first-query genuinely sublinear.  Values are unaffected:
+/// The engine shoots its rays through the [`ObstacleIndex`] the query oracle
+/// builds (or carries across an edit) and hands down, so building it costs
+/// only the `O(n)` transformed views.  Deferring even that keeps a fresh
+/// implicit store's construction O(1) beyond that index, and lets a store
+/// carried over an edit ([`DistanceStore::build`] with a base) whose first
+/// batch is answered entirely from carried rows skip it outright.  Values are unaffected:
 /// whenever a sweep does run, it runs the same routine on the same scene.
 struct LazyProvider {
     obstacles: Arc<ObstacleSet>,
+    index: Arc<ObstacleIndex>,
     cell: OnceLock<SingleSourceEngine>,
 }
 
 impl LazyProvider {
-    fn deferred(obstacles: Arc<ObstacleSet>) -> Self {
-        LazyProvider { obstacles, cell: OnceLock::new() }
+    fn deferred(obstacles: Arc<ObstacleSet>, index: Arc<ObstacleIndex>) -> Self {
+        LazyProvider { obstacles, index, cell: OnceLock::new() }
     }
 
     /// Build the engine now.  Callers that fan sweeps out over rayon force
     /// it *before* going parallel, so the one-time build never runs under a
     /// worker that peers would have to block on.
     fn force(&self) -> &SingleSourceEngine {
-        self.cell.get_or_init(|| SingleSourceEngine::new(&self.obstacles))
+        self.cell.get_or_init(|| {
+            let engine = SingleSourceEngine::with_index(&self.obstacles, Arc::clone(&self.index));
+            #[cfg(test)]
+            tests::LAST_ENGINE_INDEX.with(|last| *last.borrow_mut() = Arc::downgrade(engine.obstacle_index()));
+            engine
+        })
     }
 
     /// Distance row of source vertex `i` — the same routine the dense
@@ -308,7 +313,7 @@ impl ImplicitStore {
                 .collect()
         };
         // Sweeps dominate cold-batch cost, so they run in parallel and never
-        // under the lock.  The provider is forced up front so the skeleton
+        // under the lock.  The provider is forced up front so the engine
         // build happens once, outside the fan-out.
         if !pending.is_empty() {
             self.provider.force();
@@ -452,8 +457,14 @@ impl DistanceStore {
     ///    (`row_u[j_new] = row_{j_new}[u]`).
     ///
     /// The dense matrix takes the swept rows by move; the implicit cache is
-    /// seeded with the carried and corner rows.
-    pub(crate) fn build(obstacles: Arc<ObstacleSet>, kind: StoreKind, base: Option<&DeltaBase>) -> (Self, RowCarry) {
+    /// seeded with the carried and corner rows.  Every sweep shoots through
+    /// `index`, the [`ObstacleIndex`] of `obstacles`.
+    pub(crate) fn build(
+        obstacles: Arc<ObstacleSet>,
+        index: Arc<ObstacleIndex>,
+        kind: StoreKind,
+        base: Option<&DeltaBase>,
+    ) -> (Self, RowCarry) {
         use rayon::prelude::*;
         let kind = kind.resolve(obstacles.len());
         let vertices = obstacles.vertices();
@@ -462,8 +473,8 @@ impl DistanceStore {
         let new_to_old: &[Option<usize>] = base.map_or(&[], |b| &b.new_to_old_vertex);
         let is_new = |j: usize| new_to_old.get(j).copied().flatten().is_none();
         // Deferred: a store whose needed rows all carry over never builds the
-        // skeleton at all.
-        let provider = LazyProvider::deferred(obstacles);
+        // engine at all.
+        let provider = LazyProvider::deferred(obstacles, index);
         let resident;
         let mut candidates = 0;
         let kept: Vec<(usize, &[Dist])> = match base {
@@ -610,12 +621,21 @@ impl DistanceStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rsp_workload::uniform_disjoint;
 
+    thread_local! {
+        /// The index the last engine built on this thread shoots through,
+        /// so a test can check which index a store's row engine uses (a
+        /// dense build's engine is gone once the matrix is filled).
+        pub(crate) static LAST_ENGINE_INDEX: std::cell::RefCell<std::sync::Weak<ObstacleIndex>> =
+            const { std::cell::RefCell::new(std::sync::Weak::new()) };
+    }
+
     fn implicit(obstacles: &ObstacleSet, budget_bytes: usize) -> DistanceStore {
-        DistanceStore::build(Arc::new(obstacles.clone()), StoreKind::Implicit { budget_bytes }, None).0
+        let index = Arc::new(ObstacleIndex::build(obstacles));
+        DistanceStore::build(Arc::new(obstacles.clone()), index, StoreKind::Implicit { budget_bytes }, None).0
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! staircases are recovered by taking the region to be a large bounding box).
 
 use rsp_geom::chain::on_segment;
-use rsp_geom::rayshoot::ShootIndex;
+use rsp_geom::rayshoot::{Shoot, ShootIndex};
 use rsp_geom::{Chain, Dir, ObstacleSet, Point, StairRegion};
 
 /// An escape-path kind `XY`: primary direction `X`, avoidance policy `Y`
@@ -120,10 +120,11 @@ fn region_exit(region: &StairRegion, p: Point, dir: Dir) -> Option<Point> {
 /// `start` must lie in the region and not strictly inside an obstacle.  The
 /// returned chain begins at `start` and ends on the region boundary (or at
 /// `start` itself if `start` is already on the boundary and the path exits
-/// immediately).
+/// immediately).  `index` answers ray shots among `obstacles`, with the same
+/// rectangle ids.
 pub fn escape_path(
     obstacles: &ObstacleSet,
-    index: &ShootIndex,
+    index: &impl Shoot,
     region: &StairRegion,
     start: Point,
     kind: EscapeKind,

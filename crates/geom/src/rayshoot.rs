@@ -382,6 +382,19 @@ impl DirIndex {
     }
 }
 
+/// Anything that answers first-hit ray shots: a [`ShootIndex`], or a view
+/// that shoots through one in a transformed frame.
+pub trait Shoot {
+    /// First obstacle hit from `p` in direction `dir`.
+    fn shoot(&self, p: Point, dir: Dir) -> Option<Hit>;
+}
+
+impl Shoot for ShootIndex {
+    fn shoot(&self, p: Point, dir: Dir) -> Option<Hit> {
+        ShootIndex::shoot(self, p, dir)
+    }
+}
+
 /// Ray-shooting index over an obstacle set for all four directions.
 pub struct ShootIndex {
     north: DirIndex,
