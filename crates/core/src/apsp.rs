@@ -3,17 +3,20 @@
 //!
 //! The paper builds these in `O(log^2 n)` time with `O(n^2)` processors by
 //! pipelining `O(n)` computational "flows" through the recursion tree
-//! (Section 6.3).  On a multicore the same `O(n^2)` work bound is obtained by
-//! fanning the `4n` single-source computations of Section 9 out over the
-//! rayon pool (each source costs `O(n log n)` here); by Brent's theorem the
-//! running time is `O(n^2 log n / p + n)`, which for any realistic `p << n`
-//! is indistinguishable from the paper's schedule.  The substitution is
-//! documented in DESIGN.md §3 (item 4) and evaluated by experiment E4.
+//! (Section 6.3).  On a multicore both come out of Section 9's all-pairs
+//! pass ([`SingleSourceEngine`]'s sweep, run for many sources at once): its
+//! source-independent tables are built once per case view in
+//! `O(n log n)`, then the sources fan out over the rayon pool, each sweeping
+//! its targets in `O(n log n)`.  The vertex matrix sweeps two of the four
+//! monotone cases per source and completes the rest by symmetry, so the
+//! `O(n^2 log n)` work divides over `p` workers: `O(n^2 log n / p + n)`,
+//! which for any realistic `p << n` is indistinguishable from the paper's
+//! schedule.  The substitution is documented in DESIGN.md §3 (item 4) and
+//! evaluated by experiment E4.
 
 use crate::delta::DeltaBase;
 use crate::seq::SingleSourceEngine;
 use crate::store::{DistanceStore, RowCarry, StoreKind};
-use rayon::prelude::*;
 use rsp_geom::{Dist, ObstacleIndex, ObstacleSet, Point, INF};
 use rsp_monge::MinPlusMatrix;
 use std::collections::HashMap;
@@ -31,23 +34,24 @@ pub struct VertexApsp {
 }
 
 impl VertexApsp {
-    /// Build the dense matrix, parallelising over the `4n` sources.
+    /// Build the dense matrix: the all-pairs pass over the `4n` vertex
+    /// sources, fanned out over the rayon pool.
     pub fn build(obstacles: &ObstacleSet) -> Self {
         Self::build_fresh(obstacles, StoreKind::Dense)
     }
 
-    /// Build the dense matrix sequentially (the Section 9 baseline); used by
-    /// the E8 experiment for the parallel-vs-sequential comparison.
+    /// Build the dense matrix by Section 9's all-pairs pass on the caller's
+    /// thread: the sequential construction E8 compares with repeated
+    /// single-source sweeps ([`crate::baseline::repeated_sssp_matrix`]).
     pub fn build_sequential(obstacles: &ObstacleSet) -> Self {
         let engine = SingleSourceEngine::new(obstacles);
-        let vertices = engine.vertices().to_vec();
-        let rows: Vec<Vec<Dist>> = vertices.iter().map(|&v| engine.distances_from(v)).collect();
-        Self::from_store(vertices, DistanceStore::dense(MinPlusMatrix::from_rows(rows)))
+        let rows = engine.vertex_rows(false);
+        Self::from_store(engine.vertices().to_vec(), DistanceStore::dense(MinPlusMatrix::from_rows(rows)))
     }
 
     /// Build an *implicit* structure: no matrix is materialised; distance
-    /// rows are generated on demand by the same single-source engine the
-    /// dense builders fan out over, and cached under `budget_bytes`.  The
+    /// rows are generated on demand by the Section 9 single-source sweep, one
+    /// row per miss, and cached under `budget_bytes`.  The
     /// [`ObstacleIndex`] the engine shoots through is built here, in
     /// `O(n log n)`.
     pub fn build_implicit(obstacles: &ObstacleSet, budget_bytes: usize) -> Self {
@@ -138,9 +142,9 @@ impl VertexApsp {
 
 /// The `B(P)`-to-`V_R` structure of Section 6.2: path lengths from a set of
 /// boundary points of the container to every obstacle vertex.  (The paper
-/// derives it top-down from the recursion tree with Lemma 15; here it is a
-/// second fan-out of the same single-source engine, one source per boundary
-/// point, preserving the `O(n^2 log n)`-work shape of the claim.)
+/// derives it top-down from the recursion tree with Lemma 15; here it is the
+/// Section 9 all-pairs pass with the boundary points as sources, preserving
+/// the `O(n^2 log n)`-work shape of the claim.)
 pub struct BoundaryToVertex {
     boundary_points: Vec<Point>,
     vertices: Vec<Point>,
@@ -148,13 +152,17 @@ pub struct BoundaryToVertex {
 }
 
 impl BoundaryToVertex {
-    /// Build the boundary-to-vertex length structure by fanning the
-    /// single-source engine out over `boundary_points` (Section 6.3).
+    /// Build the boundary-to-vertex length structure by the all-pairs pass
+    /// over `boundary_points` (Section 6.3).  Rows and columns are different
+    /// point sets, so every row sweeps all four monotone cases.
     pub fn build(obstacles: &ObstacleSet, boundary_points: &[Point]) -> Self {
         let engine = SingleSourceEngine::new(obstacles);
-        let vertices = engine.vertices().to_vec();
-        let rows: Vec<Vec<Dist>> = boundary_points.par_iter().map(|&b| engine.distances_from(b)).collect();
-        BoundaryToVertex { boundary_points: boundary_points.to_vec(), vertices, matrix: MinPlusMatrix::from_rows(rows) }
+        let rows = engine.rows_from(boundary_points);
+        BoundaryToVertex {
+            boundary_points: boundary_points.to_vec(),
+            vertices: engine.vertices().to_vec(),
+            matrix: MinPlusMatrix::from_rows(rows),
+        }
     }
 
     /// The boundary points (row index space).
@@ -199,7 +207,9 @@ mod tests {
         let obs = obstacles();
         let par = VertexApsp::build(&obs);
         let seq = VertexApsp::build_sequential(&obs);
-        assert_eq!(par.matrix().expect("dense build"), seq.matrix().expect("dense build"));
+        let repeated = crate::baseline::repeated_sssp_matrix(&obs);
+        assert_eq!(par.matrix().expect("dense build"), &repeated);
+        assert_eq!(seq.matrix().expect("dense build"), &repeated);
         let verts = obs.vertices();
         let truth = ground_truth_matrix(&obs, &verts);
         for i in 0..verts.len() {
@@ -252,7 +262,9 @@ mod tests {
         let b2v = BoundaryToVertex::build(&obs, &boundary);
         assert_eq!(b2v.boundary_points().len(), 3);
         assert_eq!(b2v.vertices().len(), 16);
+        let engine = SingleSourceEngine::new(&obs);
         for (i, &b) in boundary.iter().enumerate() {
+            assert_eq!(b2v.matrix().row(i), &engine.distances_from(b)[..], "row of {b:?}");
             for (j, &v) in b2v.vertices().iter().enumerate() {
                 let expect = rsp_geom::hanan::ground_truth_distance(&obs, b, v);
                 assert_eq!(b2v.distance(i, j), expect, "{:?} -> {:?}", b, v);

@@ -16,9 +16,9 @@
 //!   performed by Monge (min,+) products across the separator.
 //! * [`apsp`] — Section 6: the vertex-to-vertex (`V_R`-to-`V_R`) and
 //!   vertex-to-boundary length structures.
-//! * [`seq`] — Section 9: the `O(n^2)` sequential construction based on
-//!   topological relaxation of monotone DAGs (also the per-source routine the
-//!   parallel `apsp` fans out over).
+//! * [`seq`] — Section 9: topological relaxation of monotone DAGs, one
+//!   source at a time or in one all-pairs pass (the `O(n^2)`-style
+//!   construction behind `apsp`'s dense matrix).
 //! * [`query`] — Section 6.4: the query oracle (O(1) vertex–vertex queries,
 //!   `O(log n)` arbitrary-point queries via ray shooting).
 //! * [`sptree`] — Section 8: shortest-path trees and actual path reporting.

@@ -1,7 +1,7 @@
-//! Section 9: single-source shortest path lengths to all obstacle vertices by
-//! topological relaxation of monotone DAGs — the per-source routine behind
-//! every distance row (the `O(n^2)`-style sequential all-pairs construction
-//! is [`VertexApsp::build_sequential`](crate::apsp::VertexApsp::build_sequential)).
+//! Section 9: shortest path lengths from a source to every obstacle vertex by
+//! topological relaxation of monotone DAGs — one row at a time
+//! ([`SingleSourceEngine::distances_from`], behind every implicit-store row),
+//! or every vertex row in one all-pairs pass (behind the dense matrix).
 //!
 //! For a source `v`, the plane is covered by four regions delimited by escape
 //! paths from `v` (Fig. 5 / Section 9, following de Rezende–Lee–Wu \[11\]):
@@ -30,7 +30,44 @@
 //! mapping each shot into the original frame and its hit back.  A router
 //! hands the engine the index its query oracle already carries across scene
 //! edits, so an engine costs `O(n)` on top of that shared index.
+//!
+//! # The all-pairs pass
+//!
+//! Much of a case sweep does not depend on the source: which vertices sit at
+//! a rectangle's right corners, the order of the targets by `(x, y)`, and
+//! where each target's leftward ray stops.  A single row computes these for
+//! itself (only for the targets right of its source, shooting on demand).
+//! A pass over many sources builds them once per case frame and shares them:
+//! the sorted order of *all* vertices (each source sweeps its suffix with
+//! `x >= source.x`, found by `partition_point`; the sort is stable, so this
+//! is the order a single row builds), every vertex's West hit, and per
+//! rectangle the vertices at its two right corners.  The sweep body is the
+//! one a single row runs, so a row of the pass equals
+//! [`SingleSourceEngine::distances_from`] bitwise.
+//!
+//! When the sources are every vertex, the pass sweeps only Cases (i) and
+//! (iii) per source and completes the matrix by symmetry,
+//! `D[v][w] = min(H[v][w], H[w][v])` with `H` the two-case minimum.  This is
+//! exact, for three reasons:
+//!
+//! 1. Cases (ii) and (iv) are Cases (i) and (iii) with the endpoints
+//!    swapped: a path that is x-monotone with `v` on the right is x-monotone
+//!    with `w` on the left, and likewise for y and the upper endpoint.
+//! 2. Case (i)'s sweep from `v` is exact at every `w` that some shortest
+//!    path reaches x-monotonically with `v` on the left (such a `w` lies in
+//!    the region right of `NE(v) ∪ SE(v)`, where the sweep is exact); Case
+//!    (iii) likewise for y-monotone paths with `v` below.
+//! 3. Among disjoint rectangles every pair of points has a shortest path
+//!    that is monotone in x or in y \[11\].
+//!
+//! So for every pair one of `H[v][w]`, `H[w][v]` is the distance, and
+//! neither is below it (every swept value is the length of a real path):
+//! the minimum is the distance the four-case row holds, bit for bit.  A
+//! pass over other sources (a subset of the vertices, or points that are
+//! not vertices) sweeps all four cases, so each of its rows is exact on its
+//! own.
 
+use rayon::prelude::*;
 use rsp_geom::rayshoot::{Hit, Shoot, ShootIndex};
 use rsp_geom::{Dir, Dist, ObstacleIndex, ObstacleSet, Point, Rect, StairRegion, INF};
 use std::collections::HashMap;
@@ -125,7 +162,8 @@ struct TransformedView {
 /// on top of an [`ObstacleIndex`] of the scene (the four case-transformed
 /// views share it); each [`SingleSourceEngine::distances_from`] call then
 /// costs `O(n log n)` — the role of the de Rezende–Lee–Wu structure in the
-/// paper's Section 9 baseline.
+/// paper's Section 9 baseline.  Its all-pairs pass builds every vertex row
+/// at once (see the module docs).
 ///
 /// **Precondition:** the obstacles must have pairwise-disjoint interiors
 /// (the paper's input model; check with
@@ -173,6 +211,10 @@ impl SingleSourceEngine {
         &self.index
     }
 
+    fn shooter(&self, view: &TransformedView) -> ViewShooter<'_> {
+        ViewShooter { index: self.index.shoot_index(), transform: view.transform }
+    }
+
     /// Exact shortest-path distances from `source` to every obstacle vertex
     /// (all `INF` when `source` lies strictly inside an obstacle).
     pub fn distances_from(&self, source: Point) -> Vec<Dist> {
@@ -181,28 +223,193 @@ impl SingleSourceEngine {
             return dist;
         }
         for view in &self.views {
-            let shooter = ViewShooter { index: self.index.shoot_index(), transform: view.transform };
             let tsource = view.transform.apply(source);
-            let case = monotone_case_distances(&view.obstacles, &shooter, &view.region, &view.vertices, tsource);
-            for (d, best) in case.into_iter().zip(dist.iter_mut()) {
-                if d < *best {
-                    *best = d;
-                }
-            }
+            let case =
+                monotone_case_distances(&view.obstacles, &self.shooter(view), &view.region, &view.vertices, tsource);
+            take_min(&mut dist, case);
         }
         dist
     }
+
+    /// The vertex-to-vertex matrix, one row per vertex in [`Self::vertices`]
+    /// order: the all-pairs pass over every vertex, two cases per source,
+    /// completed by symmetry (see the module docs).  Equal bitwise to
+    /// [`Self::distances_from`] on each vertex.  Sources fan out over the
+    /// rayon pool when `parallel`, and run on the caller's thread otherwise.
+    pub(crate) fn vertex_rows(&self, parallel: bool) -> Vec<Vec<Dist>> {
+        let mut rows = self.pass(&self.original_vertices, &[CaseTransform::Identity, CaseTransform::SwapXY], parallel);
+        for i in 0..rows.len() {
+            let (upper, lower) = rows.split_at_mut(i + 1);
+            let row_i = &mut upper[i];
+            for (row_j, d_ij) in lower.iter_mut().zip(&mut row_i[i + 1..]) {
+                let d = (*d_ij).min(row_j[i]);
+                *d_ij = d;
+                row_j[i] = d;
+            }
+        }
+        rows
+    }
+
+    /// One row per source, each the four-case minimum through tables shared
+    /// by the whole pass: equal bitwise to [`Self::distances_from`] on each
+    /// source, which need not be a vertex.  Sources fan out over the rayon
+    /// pool.
+    pub(crate) fn rows_from(&self, sources: &[Point]) -> Vec<Vec<Dist>> {
+        self.pass(sources, &CaseTransform::ALL, true)
+    }
+
+    /// The all-pairs pass: the source-independent tables of the `cases`
+    /// views, built once, then every source's sweeps of those views.
+    fn pass(&self, sources: &[Point], cases: &[CaseTransform], parallel: bool) -> Vec<Vec<Dist>> {
+        let tables: Vec<(&TransformedView, ViewTables)> = self
+            .views
+            .iter()
+            .filter(|view| cases.contains(&view.transform))
+            .map(|view| (view, ViewTables::build(view, &self.shooter(view))))
+            .collect();
+        let row = |&source: &Point| {
+            let mut dist = vec![INF; self.original_vertices.len()];
+            if self.index.containing_obstacle(source).is_some() {
+                return dist;
+            }
+            for (view, tables) in &tables {
+                let tsource = view.transform.apply(source);
+                let start = tables.order.partition_point(|&i| view.vertices[i].x < tsource.x);
+                let case = sweep_case(
+                    &view.obstacles,
+                    &self.shooter(view),
+                    &view.region,
+                    &view.vertices,
+                    tsource,
+                    &tables.order[start..],
+                    tables,
+                );
+                take_min(&mut dist, case);
+            }
+            dist
+        };
+        if parallel {
+            sources.par_iter().map(row).collect()
+        } else {
+            sources.iter().map(row).collect()
+        }
+    }
 }
 
-/// Case (i) sweep: upper bounds on distances from `source` to each vertex
-/// (exact for vertices in the region right of `NE(source) ∪ SE(source)`).
-/// `source` must not lie strictly inside an obstacle.
+/// Lower each entry of `dist` to the matching entry of `case`.
+fn take_min(dist: &mut [Dist], case: Vec<Dist>) {
+    for (d, best) in case.into_iter().zip(dist.iter_mut()) {
+        if d < *best {
+            *best = d;
+        }
+    }
+}
+
+/// The source-independent inputs a case sweep reads per target: where the
+/// target's leftward ray stops, and which vertices sit at the right corners
+/// of the rectangle it stops at.
+trait WestHits {
+    /// The first obstacle the West ray from target `i`, at `w`, hits.
+    fn west_hit(&self, i: usize, w: Point) -> Option<Hit>;
+
+    /// The vertices at the lower-right and upper-right corners of `hit`'s
+    /// rectangle.
+    fn right_corners(&self, hit: Hit) -> [&[usize]; 2];
+}
+
+/// A single row's targets: each West ray shot when the sweep reaches it,
+/// corners looked up in a vertex-by-point map built for the row.
+struct RowTargets<'a, S> {
+    shooter: &'a S,
+    obstacles: &'a ObstacleSet,
+    by_point: HashMap<Point, Vec<usize>>,
+}
+
+impl<S: Shoot> WestHits for RowTargets<'_, S> {
+    fn west_hit(&self, _: usize, w: Point) -> Option<Hit> {
+        self.shooter.shoot(w, Dir::West)
+    }
+
+    fn right_corners(&self, hit: Hit) -> [&[usize]; 2] {
+        let r = self.obstacles.rect(hit.rect);
+        [r.lr(), r.ur()].map(|u| self.by_point.get(&u).map_or(&[][..], Vec::as_slice))
+    }
+}
+
+/// One case view's source-independent tables, built once per all-pairs pass
+/// and freed with it.
+struct ViewTables {
+    /// Every vertex, by `(x, y)` and then by index.
+    order: Vec<usize>,
+    /// Each vertex's West hit.
+    west: Vec<Option<Hit>>,
+    /// Per rectangle, the vertices at its lower-right and upper-right
+    /// corners, in index order.
+    right_corners: Vec<[Vec<usize>; 2]>,
+}
+
+impl ViewTables {
+    fn build(view: &TransformedView, shooter: &impl Shoot) -> Self {
+        let key = |i: usize| (view.vertices[i].x, view.vertices[i].y);
+        let mut order: Vec<usize> = (0..view.vertices.len()).collect();
+        order.sort_by_key(|&i| key(i));
+        let west = view.vertices.iter().map(|&w| shooter.shoot(w, Dir::West)).collect();
+        // Vertices at one point are adjacent in `order`, in index order.
+        let at = |u: Point| -> Vec<usize> {
+            let start = order.partition_point(|&i| key(i) < (u.x, u.y));
+            order[start..].iter().copied().take_while(|&i| view.vertices[i] == u).collect()
+        };
+        let right_corners = view.obstacles.iter().map(|r| [at(r.lr()), at(r.ur())]).collect();
+        ViewTables { order, west, right_corners }
+    }
+}
+
+impl WestHits for ViewTables {
+    fn west_hit(&self, i: usize, _: Point) -> Option<Hit> {
+        self.west[i]
+    }
+
+    fn right_corners(&self, hit: Hit) -> [&[usize]; 2] {
+        let [lr, ur] = &self.right_corners[hit.rect];
+        [lr, ur]
+    }
+}
+
+/// Case (i) sweep of a single row: upper bounds on distances from `source`
+/// to each vertex (exact for vertices in the region right of
+/// `NE(source) ∪ SE(source)`).  `source` must not lie strictly inside an
+/// obstacle.  Builds its own target order and point map and shoots each
+/// target's West ray on demand.
 fn monotone_case_distances(
     obstacles: &ObstacleSet,
     index: &impl Shoot,
     region: &StairRegion,
     vertices: &[Point],
     source: Point,
+) -> Vec<Dist> {
+    // index vertices by point for the u1/u2 lookups
+    let mut by_point: HashMap<Point, Vec<usize>> = HashMap::new();
+    for (i, &p) in vertices.iter().enumerate() {
+        by_point.entry(p).or_default().push(i);
+    }
+    // process targets by increasing x (then y for determinism)
+    let mut order: Vec<usize> = (0..vertices.len()).filter(|&i| vertices[i].x >= source.x).collect();
+    order.sort_by_key(|&i| (vertices[i].x, vertices[i].y));
+    let targets = RowTargets { shooter: index, obstacles, by_point };
+    sweep_case(obstacles, index, region, vertices, source, &order, &targets)
+}
+
+/// The Case (i) sweep body, shared by single rows and the all-pairs pass:
+/// relax the targets `order` (every vertex with `x >= source.x`, by `(x, y)`
+/// and then by index) reading their West hits from `targets`.
+fn sweep_case(
+    obstacles: &ObstacleSet,
+    index: &impl Shoot,
+    region: &StairRegion,
+    vertices: &[Point],
+    source: Point,
+    order: &[usize],
+    targets: &impl WestHits,
 ) -> Vec<Dist> {
     let mut dist = vec![INF; vertices.len()];
     // region must contain the source for the escape traces
@@ -215,14 +422,6 @@ fn monotone_case_distances(
     };
     let ne = escape_path(obstacles, index, &region, source, EscapeKind::NE);
     let se = escape_path(obstacles, index, &region, source, EscapeKind::SE);
-    // index vertices by point for the u1/u2 lookups
-    let mut by_point: HashMap<Point, Vec<usize>> = HashMap::new();
-    for (i, &p) in vertices.iter().enumerate() {
-        by_point.entry(p).or_default().push(i);
-    }
-    // process targets by increasing x (then y for determinism)
-    let mut order: Vec<usize> = (0..vertices.len()).filter(|&i| vertices[i].x >= source.x).collect();
-    order.sort_by_key(|&i| (vertices[i].x, vertices[i].y));
     let crossing_before = |w: Point, x_obstacle: Option<i64>| -> bool {
         // does the leftward ray from w reach NE ∪ SE no later than the first
         // obstacle?
@@ -247,25 +446,23 @@ fn monotone_case_distances(
             (None, _) => false,
         }
     };
-    for i in order {
+    for &i in order {
         let w = vertices[i];
         if w == source {
             dist[i] = 0;
             continue;
         }
-        let hit = index.shoot(w, Dir::West);
+        let hit = targets.west_hit(i, w);
         let x_obstacle = hit.map(|h| h.point.x);
         let mut best = INF;
         if crossing_before(w, x_obstacle) {
             best = source.l1(w);
         } else if let Some(h) = hit {
             let r = obstacles.rect(h.rect);
-            for u in [r.lr(), r.ur()] {
-                if let Some(ids) = by_point.get(&u) {
-                    for &ui in ids {
-                        if dist[ui] < INF {
-                            best = best.min(dist[ui] + u.l1(w));
-                        }
+            for (u, ids) in [r.lr(), r.ur()].into_iter().zip(targets.right_corners(h)) {
+                for &ui in ids {
+                    if dist[ui] < INF {
+                        best = best.min(dist[ui] + u.l1(w));
                     }
                 }
             }
@@ -329,12 +526,14 @@ mod tests {
     }
 
     /// Grid tiles with random row and column widths: neighbouring tiles
-    /// share whole edges and corners.
+    /// share whole edges and corners.  The grid is 5 × 5 up to `n = 15` and
+    /// grows with `n` beyond, keeping about 60% of its cells.
     fn touching_tiles(n: usize, seed: u64) -> ObstacleSet {
         let mut rng = StdRng::seed_from_u64(seed);
+        let side = 5.max((n as f64 / 0.6).sqrt().ceil() as usize);
         let mut cuts = || -> Vec<i64> {
             let mut c = vec![rng.gen_range(-10i64..10)];
-            for _ in 0..5 {
+            for _ in 0..side {
                 let last = *c.last().unwrap();
                 c.push(last + rng.gen_range(1i64..6));
             }
@@ -342,8 +541,8 @@ mod tests {
         };
         let (xs, ys) = (cuts(), cuts());
         let mut rects = Vec::new();
-        for i in 0..5 {
-            for j in 0..5 {
+        for i in 0..side {
+            for j in 0..side {
                 if rects.len() < n && (rects.is_empty() || rng.gen_range(0..10) < 6) {
                     rects.push(Rect::new(xs[i], ys[j], xs[i + 1], ys[j + 1]));
                 }
@@ -426,16 +625,49 @@ mod tests {
 
         /// The engine's rows equal the four-index reference bitwise, from
         /// vertex sources and from arbitrary sources (outside the scene, on
-        /// obstacle edges, at corners, inside obstacles).
+        /// obstacle edges, at corners, inside obstacles) — and so do the
+        /// all-pairs pass's rows: four cases per source through shared
+        /// tables over the same sources, and the two-case vertex matrix
+        /// completed by symmetry, fanned out and on one thread.
         #[test]
         fn shared_index_rows_equal_the_four_index_sweep(family in 0u8..4, n in 1usize..14, seed in any::<u64>()) {
             let obstacles = scene(family, n, seed);
             let engine = SingleSourceEngine::new(&obstacles);
             let reference = ReferenceEngine::new(&obstacles);
-            for &source in &probes(&obstacles, seed ^ 1) {
-                let row = engine.distances_from(source);
-                prop_assert!(row == reference.distances_from(source), "family {family}, source {source:?}");
+            let sources = probes(&obstacles, seed ^ 1);
+            let rows: Vec<Vec<Dist>> = sources.iter().map(|&source| engine.distances_from(source)).collect();
+            for (&source, row) in sources.iter().zip(&rows) {
+                prop_assert!(*row == reference.distances_from(source), "family {family}, source {source:?}");
             }
+            prop_assert!(engine.rows_from(&sources) == rows, "family {family}: four-case pass");
+            // `probes` lists every vertex first, in vertex order.
+            let vertex_rows = &rows[..engine.vertices().len()];
+            prop_assert!(engine.vertex_rows(true) == vertex_rows, "family {family}: two-case pass");
+            prop_assert!(engine.vertex_rows(false) == vertex_rows, "family {family}: two-case pass, one thread");
+        }
+    }
+
+    /// The all-pairs pass on whole `n = 256` matrices, in both modes, equals
+    /// the per-row sweep bitwise on every workload family, touching tiles
+    /// and aspect-ratio stress scenes.  Release only (about a second per
+    /// scene): `cargo test -q --release -p rsp-core --lib seq:: -- --ignored`.
+    #[test]
+    #[ignore = "release-only: per-row sweeps of five n = 256 matrices"]
+    fn all_pairs_pass_equals_per_row_sweeps_at_n_256() {
+        let scenes = [
+            ("uniform", scene(0, 256, 1)),
+            ("clustered", scene(1, 256, 2)),
+            ("corridors", scene(2, 256, 3)),
+            ("touching tiles", scene(3, 256, 4)),
+            ("aspect stress", rsp_workload::aspect_stress(256, 5).obstacles),
+        ];
+        for (name, obstacles) in scenes {
+            let engine = SingleSourceEngine::new(&obstacles);
+            let vertices = engine.vertices();
+            assert!(vertices.len() >= 4 * 200, "{name}: {} vertices", vertices.len());
+            let rows: Vec<Vec<Dist>> = vertices.par_iter().map(|&v| engine.distances_from(v)).collect();
+            assert!(engine.vertex_rows(true) == rows, "{name}: two-case pass");
+            assert!(engine.rows_from(vertices) == rows, "{name}: four-case pass");
         }
     }
 

@@ -19,13 +19,22 @@
 //! epoch's store and the edit) it keeps every row the edit provably cannot
 //! change; without one it is the fresh build.
 //!
-//! **Bitwise equality is by construction**: both backends obtain row `i` by
-//! calling the *same* per-source routine on the *same* source vertex, so an
-//! implicit store returns bit-for-bit the numbers the dense matrix holds —
-//! independent of materialisation order, eviction history or thread count.
-//! (The rows are generator output, not Monge products: Lemma 1's Monge
-//! guarantee holds for boundary portions of convex clear regions, not for
-//! the scattered vertex set `V_R`, so there is no SMAWK shortcut to take.)
+//! **Both backends are exact, so they agree bitwise.**  The dense matrix
+//! comes out of Section 9's all-pairs pass (two monotone cases per source,
+//! completed by symmetry; all four when rows are carried), an implicit row
+//! out of one single-source sweep on its source vertex.  Both equal the
+//! shortest-path distance (see [`crate::seq`] for why), so an implicit store
+//! returns bit-for-bit the numbers the dense matrix holds — independent of
+//! materialisation order, eviction history or thread count.  Certified by
+//! `seq.rs`'s proptest `shared_index_rows_equal_the_four_index_sweep` (pass
+//! rows vs per-row sweeps, both modes, on four scene families) and its
+//! release-only `all_pairs_pass_equals_per_row_sweeps_at_n_256`, and across
+//! the two stores by `tests/store.rs::implicit_store_is_bitwise_equal_to_dense`,
+//! `tests/determinism.rs` and the delta-vs-fresh certification in
+//! `tests/edit.rs`.  (The rows are sweep output, not Monge products: Lemma
+//! 1's Monge guarantee holds for boundary portions of convex clear regions,
+//! not for the scattered vertex set `V_R`, so there is no SMAWK shortcut to
+//! take.)
 
 use crate::block_cache::BlockCache;
 use crate::delta::DeltaBase;
@@ -149,8 +158,8 @@ impl LazyProvider {
         })
     }
 
-    /// Distance row of source vertex `i` — the same routine the dense
-    /// builders fan out over, so rows are bitwise-identical to theirs.
+    /// Distance row of source vertex `i`: one single-source sweep, exact and
+    /// so bitwise-identical to the dense matrix's row (see the module docs).
     fn row(&self, i: usize) -> Vec<Dist> {
         let engine = self.force();
         engine.distances_from(engine.vertices()[i])
@@ -430,8 +439,9 @@ impl DistanceStore {
     /// Build the store `kind` names for `obstacles` ([`StoreKind::Auto`] is
     /// resolved by scene size here, and only here), carrying from `base`
     /// every row of the base epoch's store the edit provably cannot change.
-    /// Without a base this is the fresh build: a dense store sweeps all `4n`
-    /// sources, an implicit one sweeps nothing until a row is asked for.
+    /// Without a base this is the fresh build: a dense store runs the all-pairs
+    /// pass over all `4n` sources, an implicit one sweeps nothing until a row
+    /// is asked for.
     ///
     /// One body serves both backends, with or without a base:
     ///
@@ -447,10 +457,14 @@ impl DistanceStore {
     ///    the test composes over multi-rectangle edits by induction, and
     ///    `INF` entries conservatively fail it.  A row failing it for any
     ///    surviving column is not carried.
-    /// 2. **Sweeps.**  A dense store sweeps every row it does not carry; an
-    ///    implicit store sweeps only the inserted corners, and only when a
-    ///    carried row needs their columns — everything else it sweeps lazily
-    ///    on demand.
+    /// 2. **Sweeps.**  A dense store sweeps every row it does not carry, in
+    ///    one Section 9 all-pairs pass: with nothing carried, two monotone
+    ///    cases per source completed by symmetry; otherwise all four cases
+    ///    per swept source, because the inserted corners' rows fill the
+    ///    carried rows' new columns and must each be exact on their own.  An
+    ///    implicit store sweeps only the inserted corners, one row at a time,
+    ///    and only when a carried row needs their columns — everything else
+    ///    it sweeps lazily on demand.
     /// 3. **Column fill.**  A carried row is remapped across the id
     ///    compaction, and its inserted columns are filled exactly from the
     ///    inserted corners' fresh rows by metric symmetry
@@ -517,8 +531,12 @@ impl DistanceStore {
         };
         let mut rows: Vec<Vec<Dist>> = vec![Vec::new(); dim];
         if !sweep.is_empty() {
-            provider.force();
-            let swept: Vec<Vec<Dist>> = sweep.par_iter().map(|&i| provider.row(i)).collect();
+            let engine = provider.force();
+            let swept: Vec<Vec<Dist>> = match kind {
+                StoreKind::Implicit { .. } => sweep.par_iter().map(|&i| provider.row(i)).collect(),
+                _ if kept.is_empty() => engine.vertex_rows(true),
+                _ => engine.rows_from(&sweep.iter().map(|&i| vertices[i]).collect::<Vec<_>>()),
+            };
             for (&i, row) in sweep.iter().zip(swept) {
                 rows[i] = row;
             }

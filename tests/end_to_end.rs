@@ -26,6 +26,10 @@ fn every_engine_agrees_on_uniform_instances() {
         let seq = VertexApsp::build_sequential(obs);
         let rep = repeated_sssp_matrix(obs);
         let dij = dijkstra_sssp_matrix(obs);
+        // The all-pairs pass, fanned out and on one thread, equals the
+        // row-by-row sweeps bitwise.
+        assert_eq!(apsp.matrix(), Some(&rep));
+        assert_eq!(seq.matrix(), Some(&rep));
         for i in 0..verts.len() {
             for j in 0..verts.len() {
                 assert_eq!(apsp.distance(i, j), truth[i][j], "apsp {:?}->{:?}", verts[i], verts[j]);

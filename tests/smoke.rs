@@ -2,9 +2,11 @@
 //! construction of Section 9 (`seq`, via `VertexApsp::build_sequential`), the
 //! Hanan-grid Dijkstra baseline, and the divide-and-conquer `BoundaryMatrix`
 //! of Section 5 — agree on shortest-path lengths for small seeded
-//! `uniform_disjoint` workloads.
+//! `uniform_disjoint` workloads, and the Section 9 all-pairs pass (parallel
+//! and sequential) equals repeated single-source sweeps bitwise.
 
 use rectilinear_shortest_paths::core::apsp::VertexApsp;
+use rectilinear_shortest_paths::core::baseline::repeated_sssp_matrix;
 use rectilinear_shortest_paths::core::dnc::{build_boundary_matrix_bbox, DncOptions};
 use rectilinear_shortest_paths::geom::hanan::{ground_truth_distance, ground_truth_matrix};
 use rectilinear_shortest_paths::workload::uniform_disjoint;
@@ -19,6 +21,9 @@ fn seq_baseline_and_dnc_agree_on_small_uniform_workloads() {
         // Section 9 sequential engine vs the Hanan-grid Dijkstra baseline,
         // over all vertex pairs.
         let seq = VertexApsp::build_sequential(obs);
+        let repeated = repeated_sssp_matrix(obs);
+        assert_eq!(seq.matrix(), Some(&repeated), "{}: sequential pass vs repeated sweeps", w.name);
+        assert_eq!(VertexApsp::build(obs).matrix(), Some(&repeated), "{}: parallel pass vs repeated sweeps", w.name);
         let hanan = ground_truth_matrix(obs, &verts);
         for i in 0..verts.len() {
             for j in 0..verts.len() {
