@@ -20,6 +20,9 @@
 //! * `per_call` — the same batch served query-by-query via
 //!   `Router::distance` at the two-row budget: the PR 8 churn replica, and
 //!   the baseline the ≥5x acceptance bar is measured against.
+//! * `single_row` — one `SingleSourceEngine::distances_from` from a vertex
+//!   source: the Section 9 row sweep every cold row above pays, without the
+//!   router, planner or store around it.
 //!
 //! Between iterations the starved cache retains at most two rows, so every
 //! planned batch is genuinely cold apart from that sliver — the same
@@ -27,6 +30,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rsp_core::router::Router;
+use rsp_core::seq::SingleSourceEngine;
 use rsp_core::store::StoreKind;
 use rsp_geom::{Dist, ObstacleSet, Point};
 use rsp_workload::{query_pairs, uniform_disjoint};
@@ -91,6 +95,12 @@ fn bench(c: &mut Criterion) {
         let _ = per_call.distance(batch[0].0, batch[0].1).unwrap();
         group.bench_with_input(BenchmarkId::new("per_call", n), &n, |b, _| {
             b.iter(|| batch.iter().map(|&(a, b)| per_call.distance(a, b).unwrap()).sum::<Dist>())
+        });
+
+        let engine = SingleSourceEngine::new(&w.obstacles);
+        let source = batch[0].0;
+        group.bench_with_input(BenchmarkId::new("single_row", n), &n, |b, _| {
+            b.iter(|| engine.distances_from(source).iter().sum::<Dist>())
         });
     }
     group.finish();

@@ -36,13 +36,15 @@
 //! Much of a case sweep does not depend on the source: which vertices sit at
 //! a rectangle's right corners, the order of the targets by `(x, y)`, and
 //! where each target's leftward ray stops.  A single row computes these for
-//! itself (only for the targets right of its source, shooting on demand).
-//! A pass over many sources builds them once per case frame and shares them:
-//! the sorted order of *all* vertices (each source sweeps its suffix with
-//! `x >= source.x`, found by `partition_point`; the sort is stable, so this
-//! is the order a single row builds), every vertex's West hit, and per
-//! rectangle the vertices at its two right corners.  The sweep body is the
-//! one a single row runs, so a row of the pass equals
+//! itself, only for the targets right of its source: it sorts them, shoots
+//! on demand, and finds corner vertices by binary search in its order, so it
+//! allocates nothing per vertex.  A pass over many sources builds them once
+//! per case frame and shares them: the sorted order of *all* vertices (each
+//! source sweeps its suffix with `x >= source.x`, found by `partition_point`;
+//! the sort is stable, so this is the order a single row builds), every
+//! vertex's West hit, and per rectangle the vertices at its two right
+//! corners, found by the same search.  The sweep body is the one a single
+//! row runs, so a row of the pass equals
 //! [`SingleSourceEngine::distances_from`] bitwise.
 //!
 //! When the sources are every vertex, the pass sweeps only Cases (i) and
@@ -70,7 +72,6 @@
 use rayon::prelude::*;
 use rsp_geom::rayshoot::{Hit, Shoot, ShootIndex};
 use rsp_geom::{Dir, Dist, ObstacleIndex, ObstacleSet, Point, Rect, StairRegion, INF};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::trace::{escape_path, EscapeKind};
@@ -318,11 +319,13 @@ trait WestHits {
 }
 
 /// A single row's targets: each West ray shot when the sweep reaches it,
-/// corners looked up in a vertex-by-point map built for the row.
+/// corners found by binary search in the row's target order.  A vertex left
+/// of the source is missing from it, but keeps `INF` and could relax nothing.
 struct RowTargets<'a, S> {
     shooter: &'a S,
     obstacles: &'a ObstacleSet,
-    by_point: HashMap<Point, Vec<usize>>,
+    vertices: &'a [Point],
+    order: &'a [usize],
 }
 
 impl<S: Shoot> WestHits for RowTargets<'_, S> {
@@ -332,8 +335,15 @@ impl<S: Shoot> WestHits for RowTargets<'_, S> {
 
     fn right_corners(&self, hit: Hit) -> [&[usize]; 2] {
         let r = self.obstacles.rect(hit.rect);
-        [r.lr(), r.ur()].map(|u| self.by_point.get(&u).map_or(&[][..], Vec::as_slice))
+        [r.lr(), r.ur()].map(|u| vertices_at(self.order, self.vertices, u))
     }
+}
+
+/// The vertices of `order` (by `(x, y)`, then index) at `u`: one run of it.
+fn vertices_at<'a>(order: &'a [usize], vertices: &[Point], u: Point) -> &'a [usize] {
+    let start = order.partition_point(|&i| (vertices[i].x, vertices[i].y) < (u.x, u.y));
+    let len = order[start..].iter().take_while(|&&i| vertices[i] == u).count();
+    &order[start..start + len]
 }
 
 /// One case view's source-independent tables, built once per all-pairs pass
@@ -350,15 +360,10 @@ struct ViewTables {
 
 impl ViewTables {
     fn build(view: &TransformedView, shooter: &impl Shoot) -> Self {
-        let key = |i: usize| (view.vertices[i].x, view.vertices[i].y);
         let mut order: Vec<usize> = (0..view.vertices.len()).collect();
-        order.sort_by_key(|&i| key(i));
+        order.sort_by_key(|&i| (view.vertices[i].x, view.vertices[i].y));
         let west = view.vertices.iter().map(|&w| shooter.shoot(w, Dir::West)).collect();
-        // Vertices at one point are adjacent in `order`, in index order.
-        let at = |u: Point| -> Vec<usize> {
-            let start = order.partition_point(|&i| key(i) < (u.x, u.y));
-            order[start..].iter().copied().take_while(|&i| view.vertices[i] == u).collect()
-        };
+        let at = |u: Point| vertices_at(&order, &view.vertices, u).to_vec();
         let right_corners = view.obstacles.iter().map(|r| [at(r.lr()), at(r.ur())]).collect();
         ViewTables { order, west, right_corners }
     }
@@ -378,8 +383,7 @@ impl WestHits for ViewTables {
 /// Case (i) sweep of a single row: upper bounds on distances from `source`
 /// to each vertex (exact for vertices in the region right of
 /// `NE(source) ∪ SE(source)`).  `source` must not lie strictly inside an
-/// obstacle.  Builds its own target order and point map and shoots each
-/// target's West ray on demand.
+/// obstacle.  Sorts its own targets and shoots each West ray on demand.
 fn monotone_case_distances(
     obstacles: &ObstacleSet,
     index: &impl Shoot,
@@ -387,15 +391,10 @@ fn monotone_case_distances(
     vertices: &[Point],
     source: Point,
 ) -> Vec<Dist> {
-    // index vertices by point for the u1/u2 lookups
-    let mut by_point: HashMap<Point, Vec<usize>> = HashMap::new();
-    for (i, &p) in vertices.iter().enumerate() {
-        by_point.entry(p).or_default().push(i);
-    }
     // process targets by increasing x (then y for determinism)
     let mut order: Vec<usize> = (0..vertices.len()).filter(|&i| vertices[i].x >= source.x).collect();
     order.sort_by_key(|&i| (vertices[i].x, vertices[i].y));
-    let targets = RowTargets { shooter: index, obstacles, by_point };
+    let targets = RowTargets { shooter: index, obstacles, vertices, order: &order };
     sweep_case(obstacles, index, region, vertices, source, &order, &targets)
 }
 
@@ -482,11 +481,50 @@ mod tests {
     use rsp_geom::hanan::ground_truth_matrix;
     use rsp_geom::rayshoot::shoot_naive;
     use rsp_workload::{clustered, corridors, uniform_disjoint};
+    use std::collections::HashMap;
 
-    /// The sweep as it was before the views shared one index: every view
-    /// builds a [`ShootIndex`] over its own transformed copy of the scene and
-    /// scans that copy for source containment.  The bitwise reference for
-    /// [`SingleSourceEngine`].
+    /// A reference row's targets: each West ray shot when the sweep reaches
+    /// it, corners looked up in a vertex-by-point map built for the row.
+    struct MapTargets<'a, S> {
+        shooter: &'a S,
+        obstacles: &'a ObstacleSet,
+        by_point: HashMap<Point, Vec<usize>>,
+    }
+
+    impl<S: Shoot> WestHits for MapTargets<'_, S> {
+        fn west_hit(&self, _: usize, w: Point) -> Option<Hit> {
+            self.shooter.shoot(w, Dir::West)
+        }
+
+        fn right_corners(&self, hit: Hit) -> [&[usize]; 2] {
+            let r = self.obstacles.rect(hit.rect);
+            [r.lr(), r.ur()].map(|u| self.by_point.get(&u).map_or(&[][..], Vec::as_slice))
+        }
+    }
+
+    /// The reference's Case (i) sweep: [`monotone_case_distances`] with
+    /// every vertex, left of the source or not, indexed by point in a map.
+    fn map_case_distances(
+        obstacles: &ObstacleSet,
+        index: &impl Shoot,
+        region: &StairRegion,
+        vertices: &[Point],
+        source: Point,
+    ) -> Vec<Dist> {
+        let mut by_point: HashMap<Point, Vec<usize>> = HashMap::new();
+        for (i, &p) in vertices.iter().enumerate() {
+            by_point.entry(p).or_default().push(i);
+        }
+        let mut order: Vec<usize> = (0..vertices.len()).filter(|&i| vertices[i].x >= source.x).collect();
+        order.sort_by_key(|&i| (vertices[i].x, vertices[i].y));
+        let targets = MapTargets { shooter: index, obstacles, by_point };
+        sweep_case(obstacles, index, region, vertices, source, &order, &targets)
+    }
+
+    /// The bitwise reference for [`SingleSourceEngine`], sharing only the
+    /// sweep body with it: every view builds a [`ShootIndex`] over its own
+    /// transformed copy of the scene, scans that copy for source
+    /// containment and looks corners up in a vertex map.
     struct ReferenceEngine {
         views: Vec<(TransformedView, ShootIndex)>,
         num_vertices: usize,
@@ -514,7 +552,7 @@ mod tests {
                 if view.obstacles.containing_obstacle(tsource).is_some() {
                     continue;
                 }
-                let case = monotone_case_distances(&view.obstacles, index, &view.region, &view.vertices, tsource);
+                let case = map_case_distances(&view.obstacles, index, &view.region, &view.vertices, tsource);
                 for (d, best) in case.into_iter().zip(dist.iter_mut()) {
                     if d < *best {
                         *best = d;
@@ -668,6 +706,46 @@ mod tests {
             let rows: Vec<Vec<Dist>> = vertices.par_iter().map(|&v| engine.distances_from(v)).collect();
             assert!(engine.vertex_rows(true) == rows, "{name}: two-case pass");
             assert!(engine.rows_from(vertices) == rows, "{name}: four-case pass");
+        }
+    }
+
+    /// Single rows at the benchmark's sizes, `n = 512` and `1024`, equal the
+    /// map-based reference bitwise on the five families of
+    /// [`all_pairs_pass_equals_per_row_sweeps_at_n_256`]: 64 vertex sources
+    /// and 16 arbitrary sources per scene.  Release only (a few seconds):
+    /// `cargo test -q --release -p rsp-core --lib seq:: -- --ignored`.
+    #[test]
+    #[ignore = "release-only: 80 reference rows on each of ten n = 512/1024 scenes"]
+    fn single_rows_equal_the_map_reference_at_n_512_and_1024() {
+        for (k, n) in [512usize, 1024].into_iter().enumerate() {
+            let seed = 10 * k as u64;
+            let scenes = [
+                ("uniform", scene(0, n, seed + 1)),
+                ("clustered", scene(1, n, seed + 2)),
+                ("corridors", scene(2, n, seed + 3)),
+                ("touching tiles", scene(3, n, seed + 4)),
+                ("aspect stress", rsp_workload::aspect_stress(n, seed + 5).obstacles),
+            ];
+            for (name, obstacles) in scenes {
+                let engine = SingleSourceEngine::new(&obstacles);
+                let reference = ReferenceEngine::new(&obstacles);
+                let vertices = engine.vertices();
+                assert!(vertices.len() >= 4 * n * 3 / 4, "{name}, n = {n}: {} vertices", vertices.len());
+                let mut rng = StdRng::seed_from_u64(seed + n as u64);
+                let bbox = obstacles.bbox().expect("scenes are non-empty").expand(8);
+                let mut sources: Vec<Point> = (0..64).map(|_| vertices[rng.gen_range(0..vertices.len())]).collect();
+                for _ in 0..16 {
+                    sources
+                        .push(Point::new(rng.gen_range(bbox.xmin..=bbox.xmax), rng.gen_range(bbox.ymin..=bbox.ymax)));
+                }
+                let equal: Vec<bool> = sources
+                    .par_iter()
+                    .map(|&source| engine.distances_from(source) == reference.distances_from(source))
+                    .collect();
+                for (source, equal) in sources.iter().zip(equal) {
+                    assert!(equal, "{name}, n = {n}: the row from {source:?} differs");
+                }
+            }
         }
     }
 

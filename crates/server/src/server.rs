@@ -25,7 +25,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -111,11 +111,10 @@ impl Server {
             let _ = handle.join();
         }
         // Unblock connection readers by closing their sockets.
-        for (_, stream) in self.shared.conns.lock().expect("server conns poisoned").drain() {
+        for (_, stream) in lock(&self.shared.conns).drain() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        let handles: Vec<JoinHandle<()>> =
-            self.conn_threads.lock().expect("server threads poisoned").drain(..).collect();
+        let handles: Vec<JoinHandle<()>> = lock(&self.conn_threads).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
         }
@@ -126,6 +125,14 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Lock one of the server's own maps, recovering the guard if a thread
+/// panicked while holding it: every update under `conns` and `conn_threads`
+/// inserts, removes or drains whole entries, so a poisoned map is still
+/// consistent, and an accept loop that panicked on it would serve no one.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, threads: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
@@ -141,7 +148,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, threads: &Arc
         };
         let _ = stream.set_nodelay(true);
         {
-            let mut conns = shared.conns.lock().expect("server conns poisoned");
+            let mut conns = lock(&shared.conns);
             if conns.len() >= shared.limits.max_connections {
                 drop(conns);
                 refuse(stream, shared.limits.max_connections);
@@ -155,7 +162,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, threads: &Arc
         let conn_shared = Arc::clone(shared);
         let spawned =
             std::thread::Builder::new().name("rsp-conn".into()).spawn(move || serve_conn(id, stream, &conn_shared));
-        let mut threads = threads.lock().expect("server threads poisoned");
+        let mut threads = lock(threads);
         threads.retain(|handle| !handle.is_finished());
         if let Ok(handle) = spawned {
             threads.push(handle);
@@ -190,7 +197,7 @@ fn serve_conn(id: u64, mut stream: TcpStream, shared: &ServerShared) {
             break;
         }
     }
-    shared.conns.lock().expect("server conns poisoned").remove(&id);
+    lock(&shared.conns).remove(&id);
 }
 
 /// Run a request handler, turning a panic into a [`ServerError::Internal`]
@@ -256,6 +263,29 @@ mod tests {
         let open_conns = || server.shared.conns.lock().unwrap().len();
         wait_until("the closed connection left its slot", || open_conns() == 1);
         Client::connect(server.addr()).unwrap().stats().unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_connection_map_is_recovered() {
+        let mut server = Server::bind("127.0.0.1:0", RspService::new(ServiceConfig::default())).unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = server.shared.conns.lock().unwrap();
+                panic!("poison the connection map");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(server.shared.conns.is_poisoned());
+        // The accept loop still admits and serves a new client.
+        let mut client = Client::connect(server.addr()).unwrap();
+        let scene = client.load_scene(&ObstacleSet::new(vec![Rect::new(2, 2, 6, 10)])).unwrap();
+        assert_eq!(client.distance(scene, Point::new(0, 0), Point::new(8, 12)).unwrap(), 20);
+        assert_eq!(lock(&server.shared.conns).len(), 1);
+        // Shutdown closes that connection and joins every thread.
+        server.shutdown();
+        assert!(matches!(client.stats(), Err(ClientError::Wire(_))));
+        assert!(lock(&server.conn_threads).is_empty());
     }
 
     #[test]
